@@ -127,6 +127,10 @@ class StudyPipeline:
         self._criteria = _Memo()
         self._ensembles = _Memo()
         self._truth = _Memo()
+        # Manifest diagnostics, one entry per memoized build (each key is
+        # written once, by the thread that built it).
+        self._prior_stats: dict[str, dict] = {}
+        self._chain_stats: dict[str, dict] = {}
 
     # -- shared artifacts ---------------------------------------------------
 
@@ -144,13 +148,19 @@ class StudyPipeline:
                 n_steps=self.config.pre_prior_steps,
                 burn_in=self.config.pre_prior_burn_in,
             )
-            return build_informative_prior(
+            prior = build_informative_prior(
                 family,
                 historical_dataset(name),
                 cfg=cfg,
                 rng=rng_for(self.config.seed, "pre-prior", name, family.value),
                 max_components=self.config.kde_max_components,
             )
+            self._prior_stats[f"{name}/{family.value}"] = {
+                "family": family.value,
+                "n_components": prior.n_components,
+                "bandwidths": prior.bandwidths.tolist(),
+            }
+            return prior
 
         return self._priors.get((name, family), build)
 
@@ -161,13 +171,21 @@ class StudyPipeline:
                 n_steps=self.config.chain_steps,
                 burn_in=self.config.chain_burn_in,
             )
-            return sample_posterior(
+            data = self.dataset(size)
+            prior = self.parameter_prior(param_prior, family)
+            t0 = time.perf_counter()
+            chain = sample_posterior(
                 family,
-                self.dataset(size),
-                self.parameter_prior(param_prior, family),
+                data,
+                prior,
                 cfg,
                 rng_for(self.config.seed, "chain", size, param_prior, family.value),
             )
+            self._chain_stats[f"{size}/{param_prior}/{family.value}"] = {
+                "seconds": time.perf_counter() - t0,
+                "acceptance_rate": float(chain.acceptance_rate),
+            }
+            return chain
 
         return self._chains.get((size, param_prior, family), build)
 
@@ -421,6 +439,9 @@ class StudyPipeline:
             )
 
     def _write_manifest(self, report: RunReport, elapsed: float) -> None:
+        """Run manifest: grid status, total time, and the informative priors
+        and posterior chains this pipeline has built so far (memoized ones
+        from an earlier stage included)."""
         path = self.config.out_root / f"manifest_{report.stage}.json"
         path.parent.mkdir(parents=True, exist_ok=True)
         payload = {
@@ -432,5 +453,7 @@ class StudyPipeline:
                 for c in report.cells
             ],
             "timings": {"total_seconds": elapsed},
+            "informative_priors": dict(self._prior_stats),
+            "chains": dict(self._chain_stats),
         }
         path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

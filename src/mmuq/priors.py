@@ -104,35 +104,58 @@ class KdePrior:
     support_samples: np.ndarray
     bandwidths: np.ndarray
     _log_norm: float = field(init=False, repr=False)
+    # Bandwidth-scaled support, transposed to (2, n): one contiguous row
+    # per parameter axis.
+    _scaled_support: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         samples = np.atleast_2d(np.asarray(self.support_samples, dtype=float))
         bw = np.asarray(self.bandwidths, dtype=float)
-        if samples.shape[1] != PARAM_DIM or bw.shape != (PARAM_DIM,):
+        if samples.ndim != 2 or samples.shape[1] != PARAM_DIM or bw.shape != (PARAM_DIM,):
             raise ValueError("need (n, 2) support samples and 2 bandwidths")
-        if not np.all(bw > 0.0):
-            raise ValueError("bandwidths must be strictly positive")
+        if samples.shape[0] == 0:
+            raise ValueError("support must hold at least one sample")
+        if not np.all(np.isfinite(samples)):
+            raise ValueError("support samples must be finite")
+        if not np.all((bw > 0.0) & np.isfinite(bw)):
+            raise ValueError("bandwidths must be finite and strictly positive")
         object.__setattr__(self, "support_samples", samples)
         object.__setattr__(self, "bandwidths", bw)
         ln = np.log(samples.shape[0]) + np.sum(np.log(bw)) + PARAM_DIM / 2.0 * _LOG_2PI
         object.__setattr__(self, "_log_norm", float(ln))
+        object.__setattr__(self, "_scaled_support", np.ascontiguousarray((samples / bw).T))
 
     @property
     def n_components(self) -> int:
         return int(self.support_samples.shape[0])
 
     def log_density_batch(self, thetas: np.ndarray, chunk: int = 512) -> np.ndarray:
+        """Log density at each row of ``thetas`` (shape (rows, 2)).
+
+        An exact log-sum-exp over all kernels, shifted by each row's peak
+        exponent so a point far from every kernel stays finite.  Cost is
+        O(rows x kernels) ``exp`` calls.  Rows go through in blocks of
+        ``chunk``, so memory is bounded by one (chunk x kernels) float64
+        block plus one temporary of the same size, whatever the row count.
+        """
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+        if thetas.ndim != 2 or thetas.shape[1] != PARAM_DIM:
+            raise ValueError("thetas must have shape (rows, 2)")
+        s0, s1 = self._scaled_support
+        t0, t1 = (thetas / self.bandwidths).T
         out = np.empty(thetas.shape[0])
-        scaled_support = self.support_samples / self.bandwidths
         for start in range(0, thetas.shape[0], chunk):
             stop = min(start + chunk, thetas.shape[0])
-            z = thetas[start:stop, None, :] / self.bandwidths - scaled_support[None, :, :]
-            expo = -0.5 * np.sum(z * z, axis=2)
+            expo = t0[start:stop, None] - s0
+            expo *= expo
+            dz = t1[start:stop, None] - s1
+            dz *= dz
+            expo += dz
+            expo *= -0.5
             peak = np.max(expo, axis=1)
-            out[start:stop] = peak + np.log(
-                np.sum(np.exp(expo - peak[:, None]), axis=1)
-            )
+            expo -= peak[:, None]
+            np.exp(expo, out=expo)
+            out[start:stop] = peak + np.log(np.sum(expo, axis=1))
         return out - self._log_norm
 
     def log_density(self, theta) -> float:

@@ -4,7 +4,8 @@ line with its measured values and runtime.
 Criteria 5 and 6 run the full inference pipeline at a reduced desk scale
 (evidence draws 2000, ensemble size 1000); everything else runs at the
 stated scale.  Run with ``pytest tests/test_acceptance.py -s`` to see the
-criterion lines.
+criterion lines.  Criteria 5, 6 and 8 carry the ``slow`` marker, so
+``pytest -m "not slow"`` skips them.
 """
 
 import hashlib
@@ -163,6 +164,7 @@ def test_criterion_4_is_vs_nested_mc():
     report(4, ok, f"{members_ok}/10 members match nested MC within 3 SE, {elapsed:.1f}s < 60s")
 
 
+@pytest.mark.slow
 def test_criterion_5_prior_driven_convergence(desk_quantify):
     t0 = time.perf_counter()
     probs_b = desk_quantify.posterior_probs(5000, "ABS-B", "uniform")
@@ -179,6 +181,7 @@ def test_criterion_5_prior_driven_convergence(desk_quantify):
     )
 
 
+@pytest.mark.slow
 def test_criterion_6_bias_persistence(tmp_path):
     t0 = time.perf_counter()
     cfg = ExperimentConfig(
@@ -236,6 +239,7 @@ def test_criterion_7_metric_units():
     )
 
 
+@pytest.mark.slow
 def test_criterion_8_byte_identical_runs(tmp_path):
     t0 = time.perf_counter()
 

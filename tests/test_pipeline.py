@@ -203,6 +203,29 @@ class TestPropagateOutputs:
         assert len(rows) == 1 and float(rows[0]["cum_prob"]) == 1.0
 
 
+class TestManifest:
+    def test_records_informative_priors_and_chains(self, study):
+        cfg, _, _, _ = study
+        manifest = json.loads((cfg.out_root / "manifest_quantify.json").read_text())
+        priors = manifest["informative_priors"]
+        assert set(priors) == {f"ABS-B/{f.value}" for f in FAMILIES}
+        for key, entry in priors.items():
+            assert entry["family"] == key.split("/")[1]
+            assert 1 <= entry["n_components"] <= cfg.kde_max_components
+            assert len(entry["bandwidths"]) == 2
+            assert all(w > 0.0 for w in entry["bandwidths"])
+        chains = manifest["chains"]
+        assert set(chains) == {
+            f"{size}/{pp}/{f.value}"
+            for size in cfg.dataset_sizes
+            for pp in cfg.parameter_priors
+            for f in FAMILIES
+        }
+        for entry in chains.values():
+            assert entry["seconds"] > 0.0
+            assert 0.0 < entry["acceptance_rate"] < 1.0
+
+
 class TestFailureIsolation:
     def test_failing_cell_does_not_block_the_grid(self, tmp_path, monkeypatch):
         cfg = ExperimentConfig(

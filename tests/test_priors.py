@@ -3,6 +3,7 @@ bandwidths, density normalization, sampling law."""
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 from scipy.stats import chi2, norm
 
 from mmuq.distributions import (
@@ -151,6 +152,74 @@ class TestKdePrior:
         a = prior.sample(np.random.default_rng(5), 100)
         b = prior.sample(np.random.default_rng(5), 100)
         np.testing.assert_array_equal(a, b)
+
+
+    @staticmethod
+    def reference_log_density(prior, thetas):
+        # direct log-sum-exp over every kernel, no chunking or peak shift
+        z = (thetas[:, None, :] - prior.support_samples[None, :, :]) / prior.bandwidths
+        log_kernels = -0.5 * np.sum(z * z, axis=2) - np.sum(np.log(prior.bandwidths)) - np.log(
+            2.0 * np.pi
+        )
+        return logsumexp(log_kernels, axis=1) - np.log(prior.n_components)
+
+    @pytest.fixture
+    def wide_prior(self, rng):
+        support = rng.standard_normal((700, 2)) * [1.5, 0.4] + [10.0, 2.0]
+        return KdePrior(support, kde_bandwidths(support))
+
+    @pytest.mark.parametrize("rows", [1, 511, 512, 513, 1100])
+    def test_batch_matches_direct_reference(self, wide_prior, rng, rows):
+        # row counts on both sides of the default chunk boundary
+        idx = rng.integers(0, wide_prior.n_components, rows)
+        thetas = wide_prior.support_samples[idx] + rng.standard_normal((rows, 2)) * [2.0, 0.5]
+        got = wide_prior.log_density_batch(thetas)
+        assert got.shape == (rows,)
+        np.testing.assert_allclose(
+            got, self.reference_log_density(wide_prior, thetas), rtol=0.0, atol=1e-12
+        )
+
+    def test_far_point_is_finite(self, wide_prior):
+        # 100 bandwidths from every kernel, every exp(-z^2/2) underflows to 0
+        far = wide_prior.support_samples.max(axis=0) + 100.0 * wide_prior.bandwidths
+        got = wide_prior.log_density_batch(far[None, :])
+        assert np.all(np.isfinite(got))
+        assert got[0] < -1000.0
+        np.testing.assert_allclose(
+            got, self.reference_log_density(wide_prior, far[None, :]), rtol=1e-14, atol=1e-12
+        )
+
+    def test_chunk_size_does_not_change_values(self, wide_prior, rng):
+        thetas = wide_prior.sample(rng, 1100)
+        np.testing.assert_array_equal(
+            wide_prior.log_density_batch(thetas, chunk=1),
+            wide_prior.log_density_batch(thetas),
+        )
+
+    def test_input_is_not_mutated(self, wide_prior, rng):
+        thetas = wide_prior.sample(rng, 600)
+        before = thetas.copy()
+        wide_prior.log_density_batch(thetas)
+        np.testing.assert_array_equal(thetas, before)
+
+    def test_rejects_wrong_column_count(self, wide_prior):
+        with pytest.raises(ValueError):
+            wide_prior.log_density_batch(np.zeros((4, 3)))
+
+    @pytest.mark.parametrize(
+        "support, bandwidths",
+        [
+            (np.array([[1.0, 2.0], [np.nan, 2.0]]), np.array([0.1, 0.1])),
+            (np.array([[1.0, np.inf], [1.0, 2.0]]), np.array([0.1, 0.1])),
+            (np.empty((0, 2)), np.array([0.1, 0.1])),
+            (np.array([[1.0, 2.0]]), np.array([0.1, np.inf])),
+            (np.array([[1.0, 2.0]]), np.array([0.1, 0.0])),
+        ],
+        ids=["nan-support", "inf-support", "empty-support", "inf-bandwidth", "zero-bandwidth"],
+    )
+    def test_rejects_invalid_construction(self, support, bandwidths):
+        with pytest.raises(ValueError):
+            KdePrior(support, bandwidths)
 
 
 class TestBuildInformativePrior:
