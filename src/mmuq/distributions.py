@@ -112,13 +112,6 @@ class InvalidParameterError(ValueError):
     """A parameter vector violates its family's constraints."""
 
 
-def family_by_name(name: str) -> ModelFamily:
-    for fam in FAMILIES:
-        if fam.value == name:
-            return fam
-    raise KeyError(f"unknown model family {name!r}")
-
-
 @dataclass(eq=False)
 class Dataset:
     """An ordered set of real observations with cached sufficient statistics."""
@@ -207,9 +200,16 @@ def _valid_rows(family: ModelFamily, thetas: np.ndarray) -> np.ndarray:
 
 
 def _logistic_logpdf_std(z: np.ndarray) -> np.ndarray:
+    """Standard logistic log density, computed in place in ``z`` (callers
+    pass a fresh temporary) and returned."""
     # symmetric in z, so evaluate on -|z| to avoid overflow in exp
-    a = -np.abs(z)
-    return a - 2.0 * np.log1p(np.exp(a))
+    a = np.abs(z, out=z)
+    np.negative(a, out=a)
+    t = np.exp(a)
+    np.log1p(t, out=t)
+    t *= 2.0
+    a -= t
+    return a
 
 
 def _log_pdf_arr(family: ModelFamily, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -443,41 +443,75 @@ def log_likelihood_batch(
 
 def log_pdf_grid(family: ModelFamily, thetas: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Matrix of log densities: rows are parameter vectors, columns grid
-    points.  Rows must be valid."""
+    points.  Rows must be valid.
+
+    The formula runs on every column, in place where that saves a
+    temporary; columns outside the support are then set to -inf.  Each
+    family's operations and their order are those of the scalar
+    ``log_pdf``.
+    """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     x = np.asarray(x, dtype=float)
     if not np.all(_valid_rows(family, thetas)):
         raise InvalidParameterError(f"invalid parameter rows for {family}")
     p1 = thetas[:, 0][:, None]
     p2 = thetas[:, 1][:, None]
-    out = np.full((thetas.shape[0], x.size), _NEG_INF)
-    inside = x > 0.0 if family in POSITIVE_SUPPORT else np.isfinite(x)
-    xi = x[inside][None, :]
+    xr = x[None, :]
 
-    if family is ModelFamily.NORMAL:
-        out[:, inside] = -np.log(p2) - 0.5 * _LOG_2PI - 0.5 * ((xi - p1) / p2) ** 2
-    elif family is ModelFamily.LOGNORMAL:
-        lx = np.log(xi)
-        out[:, inside] = -lx - np.log(p2) - 0.5 * _LOG_2PI - 0.5 * ((lx - p1) / p2) ** 2
-    elif family is ModelFamily.GAMMA:
-        out[:, inside] = (
-            (p1 - 1.0) * np.log(xi) - xi / p2 - p1 * np.log(p2) - special.gammaln(p1)
-        )
-    elif family is ModelFamily.INVERSE_GAUSSIAN:
-        out[:, inside] = 0.5 * (np.log(p2) - _LOG_2PI - 3.0 * np.log(xi)) - p2 * (
-            xi - p1
-        ) ** 2 / (2.0 * p1**2 * xi)
-    elif family is ModelFamily.LOGISTIC:
-        out[:, inside] = _logistic_logpdf_std((xi - p1) / p2) - np.log(p2)
-    elif family is ModelFamily.LOGLOGISTIC:
-        lx = np.log(xi)
-        out[:, inside] = _logistic_logpdf_std((lx - p1) / p2) - np.log(p2) - lx
-    elif family is ModelFamily.WEIBULL:
-        r = xi / p2
-        with np.errstate(over="ignore", invalid="ignore"):
-            out[:, inside] = np.log(p1) - np.log(p2) + (p1 - 1.0) * np.log(r) - r**p1
-    else:  # pragma: no cover
-        raise KeyError(family)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if family is ModelFamily.NORMAL:
+            out = xr - p1
+            out /= p2
+            out *= out
+            out *= 0.5
+            np.subtract(-np.log(p2) - 0.5 * _LOG_2PI, out, out=out)
+        elif family is ModelFamily.LOGNORMAL:
+            lx = np.log(xr)
+            out = np.subtract(-lx, np.log(p2))
+            out -= 0.5 * _LOG_2PI
+            t = lx - p1
+            t /= p2
+            t *= t
+            t *= 0.5
+            out -= t
+        elif family is ModelFamily.GAMMA:
+            out = np.multiply(p1 - 1.0, np.log(xr))
+            out -= xr / p2
+            out -= p1 * np.log(p2)
+            out -= special.gammaln(p1)
+        elif family is ModelFamily.INVERSE_GAUSSIAN:
+            t = xr - p1
+            t *= t
+            t *= p2
+            out = np.multiply(2.0 * p1**2, xr)
+            t /= out
+            np.subtract(np.log(p2) - _LOG_2PI, 3.0 * np.log(xr), out=out)
+            out *= 0.5
+            out -= t
+        elif family is ModelFamily.LOGISTIC:
+            out = xr - p1
+            out /= p2
+            _logistic_logpdf_std(out)
+            out -= np.log(p2)
+        elif family is ModelFamily.LOGLOGISTIC:
+            lx = np.log(xr)
+            out = lx - p1
+            out /= p2
+            _logistic_logpdf_std(out)
+            out -= np.log(p2)
+            out -= lx
+        elif family is ModelFamily.WEIBULL:
+            r = xr / p2
+            out = np.log(r)
+            out *= p1 - 1.0
+            out += np.log(p1) - np.log(p2)
+            np.power(r, p1, out=r)
+            out -= r
+        else:  # pragma: no cover
+            raise KeyError(family)
+    outside = ~(x > 0.0) if family in POSITIVE_SUPPORT else ~np.isfinite(x)
+    if np.any(outside):
+        out[:, outside] = _NEG_INF
     return out
 
 

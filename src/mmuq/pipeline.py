@@ -64,6 +64,10 @@ METRICS_HEADER = (
     "value",
 )
 
+# Band around 1 for a member's mean importance weight; a mean outside it
+# means the mixture sample covers that member poorly.
+MEAN_WEIGHT_BAND = (0.95, 1.05)
+
 
 @dataclass
 class CellRecord:
@@ -131,6 +135,7 @@ class StudyPipeline:
         # written once, by the thread that built it).
         self._prior_stats: dict[str, dict] = {}
         self._chain_stats: dict[str, dict] = {}
+        self._propagation_stats: dict[str, dict] = {}
 
     # -- shared artifacts ---------------------------------------------------
 
@@ -362,6 +367,7 @@ class StudyPipeline:
 
     def _propagate_cell(self, size: int, pp: str, mp: str) -> CellRecord:
         ens = self.ensemble(size, pp, mp)
+        t0 = time.perf_counter()
         result = propagate(
             ens,
             buckling.buckling_response(self.config.plate),
@@ -369,6 +375,20 @@ class StudyPipeline:
             rng_for(self.config.seed, "propagate", size, pp, mp),
             failure_threshold=self.config.failure_threshold,
         )
+        w_min = float(np.min(result.mean_weights))
+        w_max = float(np.max(result.mean_weights))
+        self._propagation_stats[f"{size}/{pp}/{mp}"] = {
+            "seconds": time.perf_counter() - t0,
+            "mean_weight_min": w_min,
+            "mean_weight_max": w_max,
+        }
+        lo, hi = MEAN_WEIGHT_BAND
+        if not lo <= w_min <= w_max <= hi:
+            logger.warning(
+                "propagate cell (%s, %s, %s): member mean weights span [%.4g, %.4g], "
+                "outside [%g, %g]",
+                size, pp, mp, w_min, w_max, lo, hi,
+            )
         cell_dir = self.config.cell_dir(size, pp, mp)
         write_table(
             cell_dir / "member_stats.csv",
@@ -439,9 +459,9 @@ class StudyPipeline:
             )
 
     def _write_manifest(self, report: RunReport, elapsed: float) -> None:
-        """Run manifest: grid status, total time, and the informative priors
-        and posterior chains this pipeline has built so far (memoized ones
-        from an earlier stage included)."""
+        """Run manifest: grid status, total time, and the informative priors,
+        posterior chains and propagate cells this pipeline has built so far
+        (memoized ones from an earlier stage included)."""
         path = self.config.out_root / f"manifest_{report.stage}.json"
         path.parent.mkdir(parents=True, exist_ok=True)
         payload = {
@@ -455,5 +475,6 @@ class StudyPipeline:
             "timings": {"total_seconds": elapsed},
             "informative_priors": dict(self._prior_stats),
             "chains": dict(self._chain_stats),
+            "propagation": dict(self._propagation_stats),
         }
         path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

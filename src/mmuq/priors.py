@@ -41,6 +41,9 @@ __all__ = [
 ]
 
 _LOG_2PI = np.log(2.0 * np.pi)
+# Cells per KDE density block (rows x kernels): about 1 MB of float64, so
+# the passes over a block stay in cache.
+_BLOCK_CELLS = 1 << 17
 
 # Yield-strength envelope (ksi) that the noninformative boxes must cover.
 ENVELOPE_MEAN = (20.0, 60.0)
@@ -129,13 +132,14 @@ class KdePrior:
     def n_components(self) -> int:
         return int(self.support_samples.shape[0])
 
-    def log_density_batch(self, thetas: np.ndarray, chunk: int = 512) -> np.ndarray:
+    def log_density_batch(self, thetas: np.ndarray, chunk: int | None = None) -> np.ndarray:
         """Log density at each row of ``thetas`` (shape (rows, 2)).
 
         An exact log-sum-exp over all kernels, shifted by each row's peak
         exponent so a point far from every kernel stays finite.  Cost is
         O(rows x kernels) ``exp`` calls.  Rows go through in blocks of
-        ``chunk``, so memory is bounded by one (chunk x kernels) float64
+        ``chunk`` (by default as many as fit ``_BLOCK_CELLS`` cells, at
+        least one), so memory is bounded by one (chunk x kernels) float64
         block plus one temporary of the same size, whatever the row count.
         """
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
@@ -143,6 +147,8 @@ class KdePrior:
             raise ValueError("thetas must have shape (rows, 2)")
         s0, s1 = self._scaled_support
         t0, t1 = (thetas / self.bandwidths).T
+        if chunk is None:
+            chunk = max(1, _BLOCK_CELLS // s0.size)
         out = np.empty(thetas.shape[0])
         for start in range(0, thetas.shape[0], chunk):
             stop = min(start + chunk, thetas.shape[0])

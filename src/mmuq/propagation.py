@@ -28,7 +28,9 @@ __all__ = [
     "propagate",
 ]
 
-_MEMBER_CHUNK = 64
+# Cells per density block (rows x columns): about 1 MB of float64, so the
+# passes over a block stay in cache.
+_BLOCK_CELLS = 1 << 17
 
 
 @dataclass
@@ -119,24 +121,41 @@ def draw_ensemble(
     return DistributionEnsemble(codes, thetas, source)
 
 
-def _accumulate_density(
-    ens: DistributionEnsemble, x: np.ndarray, out: np.ndarray
-) -> None:
-    for j in range(len(FAMILIES)):
-        idx = np.flatnonzero(ens.family_codes == j)
-        for start in range(0, idx.size, _MEMBER_CHUNK):
-            block = idx[start : start + _MEMBER_CHUNK]
-            logp = log_pdf_grid(FAMILIES[j], ens.thetas[block], x)
-            out += np.sum(np.exp(logp), axis=0)
+def _density_blocks(ens: DistributionEnsemble, x: np.ndarray):
+    """Yield ``(order, cols, dens)`` over consecutive column blocks of ``x``.
+
+    ``dens`` holds every member's density at ``x[cols]``, one row per
+    member in the family-sorted ``order``: one ``log_pdf_grid`` call per
+    family, exponentiated in place.  A block holds at most
+    ``_BLOCK_CELLS`` cells (at least one column), so memory stays bounded
+    whatever the member and point counts.
+    """
+    order = np.argsort(ens.family_codes, kind="stable")
+    codes = ens.family_codes[order]
+    thetas = ens.thetas[order]
+    _, starts = np.unique(codes, return_index=True)
+    runs = list(zip(starts, np.append(starts[1:], codes.size)))
+    width = max(1, _BLOCK_CELLS // ens.n_members)
+    for start in range(0, x.size, width):
+        cols = slice(start, min(start + width, x.size))
+        if len(runs) == 1:
+            dens = log_pdf_grid(FAMILIES[codes[0]], thetas, x[cols])
+        else:
+            dens = np.empty((ens.n_members, cols.stop - cols.start))
+            for lo, hi in runs:
+                dens[lo:hi] = log_pdf_grid(FAMILIES[codes[lo]], thetas[lo:hi], x[cols])
+        np.exp(dens, out=dens)
+        yield order, cols, dens
 
 
 def mixture_density(ens: DistributionEnsemble, x) -> np.ndarray | float:
     """Equal-weight mixture density of the ensemble members at ``x``."""
     xa = np.asarray(x, dtype=float)
     flat = np.atleast_1d(xa).ravel()
-    acc = np.zeros(flat.size)
-    _accumulate_density(ens, flat, acc)
-    dens = acc / ens.n_members
+    dens = np.empty(flat.size)
+    for _, cols, block in _density_blocks(ens, flat):
+        np.sum(block, axis=0, out=dens[cols])
+    dens /= ens.n_members
     return float(dens[0]) if xa.ndim == 0 else dens.reshape(xa.shape)
 
 
@@ -167,6 +186,11 @@ def propagate(
     per-member mean, variance and failure probability P(g < threshold) by
     importance-sampling reweighting with weights p_i(x) / q(x).
     ``x_samples`` reuses an existing mixture sample instead of drawing.
+
+    Each member density is evaluated once per point: a block of points
+    gives the (members x points) density matrix, q from its column means,
+    and every member's weighted sums from one matrix product.  Memory is
+    bounded by one block of ``_BLOCK_CELLS`` cells, not by n_d x n.
     """
     x = sample_mixture(ens, rng, n) if x_samples is None else np.asarray(x_samples, float)
     gv = np.asarray(g(x), dtype=float)
@@ -176,32 +200,24 @@ def propagate(
         bad = x[~np.isfinite(gv)][0]
         raise ValueError(f"g returned a non-finite value at x={bad!r}")
 
-    q = np.zeros(n)
-    _accumulate_density(ens, x, q)
-    q /= ens.n_members
-
-    n_d = ens.n_members
-    means = np.empty(n_d)
-    m2 = np.empty(n_d)
-    pfs = np.empty(n_d)
-    mean_w = np.empty(n_d)
-    fails = (gv < failure_threshold).astype(float)
-    for j in range(len(FAMILIES)):
-        idx = np.flatnonzero(ens.family_codes == j)
-        for start in range(0, idx.size, _MEMBER_CHUNK):
-            block = idx[start : start + _MEMBER_CHUNK]
-            w = np.exp(log_pdf_grid(FAMILIES[j], ens.thetas[block], x)) / q[None, :]
-            mean_w[block] = np.mean(w, axis=1)
-            means[block] = w @ gv / n
-            m2[block] = w @ (gv * gv) / n
-            pfs[block] = w @ fails / n
+    # Columns [1, g, g^2, 1{g < threshold}]: one GEMM per block gives every
+    # member's weight sum and the three weighted sums at once.
+    moments = np.column_stack([np.ones(n), gv, gv * gv, gv < failure_threshold])
+    sums = np.zeros((ens.n_members, 4))
+    for order, cols, dens in _density_blocks(ens, x):
+        q = np.sum(dens, axis=0)
+        q /= ens.n_members
+        dens /= q
+        sums[order] += dens @ moments[cols]
+    sums /= n
+    means = sums[:, 1]
 
     return PropagationResult(
         x_samples=x,
         g_values=gv,
         means=means,
-        variances=m2 - means**2,
-        pfs=pfs,
-        mean_weights=mean_w,
+        variances=sums[:, 2] - means**2,
+        pfs=sums[:, 3],
+        mean_weights=sums[:, 0],
         failure_threshold=failure_threshold,
     )

@@ -6,7 +6,7 @@ closed-form implementations they check.
 
 import numpy as np
 import pytest
-from scipy.special import ndtr
+from scipy.special import gammaln, ndtr
 
 from mmuq.distributions import (
     FAMILIES,
@@ -197,6 +197,72 @@ class TestLogLikelihood:
         grid = log_pdf_grid(family, np.asarray(theta)[None, :], x)[0]
         expected = log_pdf(family, theta, x)
         np.testing.assert_allclose(grid, expected, rtol=1e-12)
+
+
+_LOG_2PI = np.log(2.0 * np.pi)
+
+
+def masked_log_pdf_grid(family, thetas, x):
+    """The grid log density written as a boolean column mask over the
+    support: the formula runs on the inside columns only."""
+    p1 = thetas[:, 0][:, None]
+    p2 = thetas[:, 1][:, None]
+    out = np.full((thetas.shape[0], x.size), -np.inf)
+    positive = family not in (ModelFamily.NORMAL, ModelFamily.LOGISTIC)
+    inside = x > 0.0 if positive else np.isfinite(x)
+    xi = x[inside][None, :]
+
+    def logistic_std(z):
+        a = -np.abs(z)
+        return a - 2.0 * np.log1p(np.exp(a))
+
+    with np.errstate(all="ignore"):
+        if family is ModelFamily.NORMAL:
+            out[:, inside] = -np.log(p2) - 0.5 * _LOG_2PI - 0.5 * ((xi - p1) / p2) ** 2
+        elif family is ModelFamily.LOGNORMAL:
+            lx = np.log(xi)
+            out[:, inside] = -lx - np.log(p2) - 0.5 * _LOG_2PI - 0.5 * ((lx - p1) / p2) ** 2
+        elif family is ModelFamily.GAMMA:
+            out[:, inside] = (
+                (p1 - 1.0) * np.log(xi) - xi / p2 - p1 * np.log(p2) - gammaln(p1)
+            )
+        elif family is ModelFamily.INVERSE_GAUSSIAN:
+            out[:, inside] = 0.5 * (np.log(p2) - _LOG_2PI - 3.0 * np.log(xi)) - p2 * (
+                xi - p1
+            ) ** 2 / (2.0 * p1**2 * xi)
+        elif family is ModelFamily.LOGISTIC:
+            out[:, inside] = logistic_std((xi - p1) / p2) - np.log(p2)
+        elif family is ModelFamily.LOGLOGISTIC:
+            lx = np.log(xi)
+            out[:, inside] = logistic_std((lx - p1) / p2) - np.log(p2) - lx
+        elif family is ModelFamily.WEIBULL:
+            r = xi / p2
+            out[:, inside] = np.log(p1) - np.log(p2) + (p1 - 1.0) * np.log(r) - r**p1
+    return out
+
+
+class TestLogPdfGrid:
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_bitwise_equal_to_masked_formula(self, family, rng):
+        thetas = np.array(
+            [STUDY_THETAS[family], GENERIC_THETAS[family]]
+        ) * rng.uniform(0.8, 1.25, size=(6, 1, 2))
+        thetas = thetas.reshape(-1, 2)
+        x = np.concatenate(
+            [
+                [-np.inf, -3.0, -1e-300, -0.0, 0.0, 1e-300, np.nan, np.inf],
+                rng.normal(20.0, 25.0, 500),
+                rng.lognormal(0.0, 1.0, 500),
+            ]
+        )
+        for xs in (x, x[::3]):  # contiguous and strided points
+            got = log_pdf_grid(family, thetas, xs)
+            want = masked_log_pdf_grid(family, thetas, xs)
+            assert got.shape == want.shape
+            np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+            keep = ~np.isnan(want)
+            np.testing.assert_array_equal(got[keep].view(np.uint64), want[keep].view(np.uint64))
+            assert np.all(got[:, ~np.isfinite(xs) & (xs != np.inf)] == -np.inf)
 
 
 class TestMomentMaps:

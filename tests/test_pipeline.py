@@ -2,18 +2,21 @@
 
 import csv
 import json
+import logging
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
+from mmuq import pipeline as pipeline_module
 from mmuq.cli import ingest_dataset, main
 from mmuq.config import ExperimentConfig, load_config, model_prior_probs
 from mmuq.distributions import FAMILIES
 from mmuq.evidence import aic_weights, information_criteria
 from mmuq.io import DatasetFormatError, write_dataset_csv
 from mmuq.pipeline import StudyPipeline
+from mmuq.propagation import propagate
 
 
 def read_csv(path: Path) -> list[dict]:
@@ -224,6 +227,52 @@ class TestManifest:
         for entry in chains.values():
             assert entry["seconds"] > 0.0
             assert 0.0 < entry["acceptance_rate"] < 1.0
+
+
+    def test_records_propagation_diagnostics(self, study):
+        cfg, _, _, _ = study
+        manifest = json.loads((cfg.out_root / "manifest_propagate.json").read_text())
+        stats = manifest["propagation"]
+        assert set(stats) == {
+            f"{size}/{pp}/{mp}"
+            for size in cfg.dataset_sizes
+            for pp in cfg.parameter_priors
+            for mp in cfg.model_priors
+        }
+        for entry in stats.values():
+            assert entry["seconds"] > 0.0
+            assert 0.0 < entry["mean_weight_min"] <= entry["mean_weight_max"]
+
+    @pytest.mark.parametrize("skewed_weight", [0.5, 1.5])
+    def test_mean_weight_outside_band_is_logged(
+        self, skewed_weight, tmp_path, monkeypatch, caplog
+    ):
+        cfg = ExperimentConfig(
+            name="weights",
+            seed=9,
+            dataset_sizes=(10,),
+            parameter_priors=("noninformative",),
+            model_priors=("uniform",),
+            n_k=200,
+            n_d=5,
+            n_propagation=500,
+            chain_steps=250,
+            chain_burn_in=60,
+            output_dir=str(tmp_path),
+        )
+
+        def skewed(*args, **kwargs):
+            result = propagate(*args, **kwargs)
+            result.mean_weights[0] = skewed_weight
+            return result
+
+        monkeypatch.setattr(pipeline_module, "propagate", skewed)
+        with caplog.at_level(logging.WARNING, logger="mmuq.pipeline"):
+            assert StudyPipeline(cfg).run_propagate().all_ok
+        assert "outside [0.95, 1.05]" in caplog.text
+        manifest = json.loads((cfg.out_root / "manifest_propagate.json").read_text())
+        entry = manifest["propagation"]["10/noninformative/uniform"]
+        assert skewed_weight in (entry["mean_weight_min"], entry["mean_weight_max"])
 
 
 class TestFailureIsolation:

@@ -170,7 +170,8 @@ class TestKdePrior:
 
     @pytest.mark.parametrize("rows", [1, 511, 512, 513, 1100])
     def test_batch_matches_direct_reference(self, wide_prior, rng, rows):
-        # row counts on both sides of the default chunk boundary
+        # row counts across several default blocks (187 rows at 700 kernels)
+        # and on both sides of a 512-row block
         idx = rng.integers(0, wide_prior.n_components, rows)
         thetas = wide_prior.support_samples[idx] + rng.standard_normal((rows, 2)) * [2.0, 0.5]
         got = wide_prior.log_density_batch(thetas)

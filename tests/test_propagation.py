@@ -4,10 +4,12 @@ propagation against nested Monte Carlo oracles."""
 import numpy as np
 import pytest
 
+from mmuq import propagation
 from mmuq.buckling import MEAN_PLATE, buckling_response, pf_semianalytic
 from mmuq.distributions import (
     FAMILIES,
     ModelFamily,
+    log_pdf_grid,
     params_from_moments,
     pdf,
     sample,
@@ -23,6 +25,42 @@ from mmuq.propagation import (
 )
 
 LN_THETA = params_from_moments(ModelFamily.LOGNORMAL, 34.782, 0.116)
+
+# One member per family, two of each, shuffled; the Normal and Logistic
+# members put mass on x <= 0, where the other five have zero density.
+MIXED_THETAS = {
+    ModelFamily.GAMMA: (4.0, 0.5),
+    ModelFamily.INVERSE_GAUSSIAN: (2.0, 6.0),
+    ModelFamily.LOGISTIC: (0.5, 0.6),
+    ModelFamily.LOGLOGISTIC: (0.6, 0.25),
+    ModelFamily.LOGNORMAL: (0.5, 0.4),
+    ModelFamily.NORMAL: (1.0, 1.0),
+    ModelFamily.WEIBULL: (2.0, 2.0),
+}
+
+
+def mixed_ensemble():
+    codes = np.repeat(np.arange(len(FAMILIES)), 2)
+    thetas = np.array([MIXED_THETAS[FAMILIES[c]] for c in codes])
+    thetas[1::2] *= 1.1
+    order = np.random.default_rng(11).permutation(codes.size)
+    return DistributionEnsemble(codes[order], thetas[order])
+
+
+def dense_two_pass(ens, x, g, threshold):
+    """Importance-sampling statistics from the full (members x points)
+    density matrix: q in a first pass, the weights p_i / q in a second."""
+    p = np.array([pdf(fam, theta, x) for fam, theta in ens])
+    q = np.mean(p, axis=0)
+    w = p / q
+    gv = g(x)
+    means = np.mean(w * gv, axis=1)
+    return {
+        "means": means,
+        "variances": np.mean(w * gv * gv, axis=1) - means**2,
+        "pfs": np.mean(w * (gv < threshold), axis=1),
+        "mean_weights": np.mean(w, axis=1),
+    }
 
 
 def synthetic_chains(rng, spread=0.02, n_samples=400):
@@ -252,6 +290,48 @@ class TestPropagate:
                           np.random.default_rng(6), x_samples=x)
         np.testing.assert_allclose(res_p.means, res.means[perm], rtol=1e-10)
         np.testing.assert_allclose(res_p.pfs, res.pfs[perm], rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "members, n, block_cells",
+        [
+            ("mixed", 1001, 14 * 64),  # 64-point blocks, a 41-point tail
+            ("single", 1001, 200),  # n_d = 1
+            ("mixed", 300, 5),  # n_d above the cell budget: one point a block
+        ],
+    )
+    def test_matches_dense_two_pass_reference(self, members, n, block_cells, monkeypatch):
+        monkeypatch.setattr(propagation, "_BLOCK_CELLS", block_cells)
+        ens = mixed_ensemble() if members == "mixed" else single_member_ensemble(
+            ModelFamily.NORMAL, (1.0, 1.0)
+        )
+        x = sample_mixture(ens, np.random.default_rng(12), n)
+        assert np.any(x <= 0.0)
+
+        def g(v):
+            return v * v + 1.0
+
+        res = propagate(ens, g, n, None, failure_threshold=1.5, x_samples=x)
+        ref = dense_two_pass(ens, x, g, 1.5)
+        for name in ("means", "pfs", "mean_weights"):
+            np.testing.assert_allclose(getattr(res, name), ref[name], rtol=1e-12, err_msg=name)
+        np.testing.assert_allclose(res.variances, ref["variances"], rtol=0.0, atol=1e-12)
+
+    def test_one_density_evaluation_per_cell(self, monkeypatch):
+        cells, widths = [], []
+
+        def counting(family, thetas, x):
+            out = log_pdf_grid(family, thetas, x)
+            cells.append(out.size)
+            widths.append(x.size)
+            return out
+
+        monkeypatch.setattr(propagation, "log_pdf_grid", counting)
+        monkeypatch.setattr(propagation, "_BLOCK_CELLS", 14 * 100)
+        ens = mixed_ensemble()
+        n = 1234
+        propagate(ens, lambda v: v, n, np.random.default_rng(13))
+        assert sum(cells) == ens.n_members * n
+        assert max(widths) == 100  # blocks stay within the cell budget
 
     def test_non_finite_response_is_an_error(self):
         ens = single_member_ensemble(ModelFamily.NORMAL, (0.0, 1.0))
