@@ -38,7 +38,13 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", help="JSON experiment config")
         cmd.add_argument("--seed", type=int, help="override the experiment seed")
         cmd.add_argument("--out", help="override the output directory")
-        cmd.add_argument("--workers", type=int, help="grid-cell worker count")
+        cmd.add_argument(
+            "--workers",
+            type=int,
+            metavar="N",
+            help="processes running (size, parameter prior) panels: this one "
+            "plus N-1 forked workers; outputs do not depend on it",
+        )
     return parser
 
 

@@ -435,9 +435,9 @@ def log_likelihood_batch(
                 ll = np.sum(_logistic_logpdf_std(z), axis=1) - n * np.log(b).ravel()
             vals[start:stop] = ll
         out[ok] = vals + extra
-    # overflow in extreme corners of the prior box can yield nan; treat as
-    # impossible rather than propagating
-    np.nan_to_num(out, copy=False, nan=_NEG_INF, neginf=_NEG_INF, posinf=_NEG_INF)
+    # overflow in extreme corners of the prior box can yield nan; treat it
+    # (and +inf) as impossible rather than propagating
+    out[~(out < np.inf)] = _NEG_INF
     return out
 
 

@@ -5,16 +5,20 @@ each stochastic stage derives its generator from the experiment seed and
 the cell coordinates, so outputs are byte-identical across repeat runs and
 worker counts.  A failing cell is logged and skipped; the remaining cells
 still run.
+
+The unit of parallel work is a panel, one (size, parameter prior) pair with
+all its model-prior cells: with ``workers=N`` the calling process and N-1
+forked worker processes run panels, and the caller merges back everything
+a worker built.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-import threading
 import time
 import traceback
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -96,27 +100,47 @@ class RunReport:
         raise KeyError((size, param_prior, model_prior))
 
 
-class _Memo:
-    """Thread-safe build-once cache with per-key locks."""
+def _cached(cache: dict, key, build):
+    if key not in cache:
+        cache[key] = build()
+    return cache[key]
 
-    def __init__(self) -> None:
-        self._values: dict = {}
-        self._locks: dict = {}
-        self._guard = threading.Lock()
 
-    def get(self, key, builder):
-        with self._guard:
-            if key in self._values:
-                return self._values[key]
-            lock = self._locks.setdefault(key, threading.Lock())
-        with lock:
-            with self._guard:
-                if key in self._values:
-                    return self._values[key]
-            value = builder()
-            with self._guard:
-                self._values[key] = value
-            return value
+# Every per-run cache and manifest record of a StudyPipeline; a forked
+# worker returns the entries it added to each, and the caller merges them.
+_CACHES = (
+    "_datasets", "_priors", "_chains", "_evidence", "_criteria", "_ensembles", "_truth",
+    "_prior_stats", "_chain_stats", "_propagation_stats",
+)
+
+# The pipeline a forked worker process serves, set by its pool initializer.
+_forked_pipeline: StudyPipeline | None = None
+
+
+def _init_forked_worker(pipeline: StudyPipeline) -> None:
+    global _forked_pipeline
+    _forked_pipeline = pipeline
+
+
+def _call(fn, unit: tuple):
+    """``fn(*unit)``, or the exception it raised."""
+    try:
+        return fn(*unit)
+    except Exception as exc:
+        return exc
+
+
+def _run_forked(method: str, unit: tuple):
+    """Run one unit in a forked worker; return its result and the cache
+    entries it built."""
+    pipeline = _forked_pipeline
+    before = {name: set(getattr(pipeline, name)) for name in _CACHES}
+    result = getattr(pipeline, method)(*unit)
+    built = {
+        name: {k: v for k, v in getattr(pipeline, name).items() if k not in before[name]}
+        for name in _CACHES
+    }
+    return result, built
 
 
 class StudyPipeline:
@@ -124,15 +148,14 @@ class StudyPipeline:
 
     def __init__(self, config: ExperimentConfig):
         self.config = config
-        self._datasets = _Memo()
-        self._priors = _Memo()
-        self._chains = _Memo()
-        self._evidence = _Memo()
-        self._criteria = _Memo()
-        self._ensembles = _Memo()
-        self._truth = _Memo()
-        # Manifest diagnostics, one entry per memoized build (each key is
-        # written once, by the thread that built it).
+        self._datasets: dict = {}
+        self._priors: dict = {}
+        self._chains: dict = {}
+        self._evidence: dict = {}
+        self._criteria: dict = {}
+        self._ensembles: dict = {}
+        self._truth: dict = {}
+        # Manifest diagnostics, one entry per cached build.
         self._prior_stats: dict[str, dict] = {}
         self._chain_stats: dict[str, dict] = {}
         self._propagation_stats: dict[str, dict] = {}
@@ -140,8 +163,10 @@ class StudyPipeline:
     # -- shared artifacts ---------------------------------------------------
 
     def dataset(self, size: int) -> Dataset:
-        return self._datasets.get(
-            size, lambda: buckling.generate_data(buckling.TRUE_MODEL, size, self.config.seed)
+        return _cached(
+            self._datasets,
+            size,
+            lambda: buckling.generate_data(buckling.TRUE_MODEL, size, self.config.seed),
         )
 
     def parameter_prior(self, name: str, family: ModelFamily):
@@ -167,7 +192,7 @@ class StudyPipeline:
             }
             return prior
 
-        return self._priors.get((name, family), build)
+        return _cached(self._priors, (name, family), build)
 
     def chain(self, size: int, param_prior: str, family: ModelFamily) -> PosteriorChain:
         def build():
@@ -192,7 +217,7 @@ class StudyPipeline:
             }
             return chain
 
-        return self._chains.get((size, param_prior, family), build)
+        return _cached(self._chains, (size, param_prior, family), build)
 
     def log_evidences(self, size: int, param_prior: str) -> np.ndarray:
         def build():
@@ -210,7 +235,7 @@ class StudyPipeline:
                 ]
             )
 
-        return self._evidence.get((size, param_prior), build)
+        return _cached(self._evidence, (size, param_prior), build)
 
     def criteria(self, size: int) -> tuple[np.ndarray, np.ndarray]:
         """(AIC, BIC) vectors over the candidate set for one dataset size."""
@@ -220,7 +245,7 @@ class StudyPipeline:
             pairs = [information_criteria(fam, data) for fam in FAMILIES]
             return np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
 
-        return self._criteria.get(size, build)
+        return _cached(self._criteria, size, build)
 
     def posterior_probs(self, size: int, param_prior: str, model_prior: str) -> ModelPosteriorProbs:
         if model_prior == "savvy":
@@ -249,7 +274,7 @@ class StudyPipeline:
                 rng_for(self.config.seed, "ensemble", size, param_prior, model_prior),
             )
 
-        return self._ensembles.get((size, param_prior, model_prior), build)
+        return _cached(self._ensembles, (size, param_prior, model_prior), build)
 
     def true_output_stats(self) -> tuple[float, float, float]:
         """(mean psi, var psi, pf) of the true generator, by quadrature and
@@ -263,7 +288,7 @@ class StudyPipeline:
             )
             return m, v, pf
 
-        return self._truth.get("stats", build)
+        return _cached(self._truth, "stats", build)
 
     # -- stages ---------------------------------------------------------------
 
@@ -282,13 +307,6 @@ class StudyPipeline:
             )
         return paths
 
-    def _map_cells(self, worker) -> list[CellRecord]:
-        cells = self.config.grid()
-        if self.config.workers == 1:
-            return [worker(*cell) for cell in cells]
-        with ThreadPoolExecutor(max_workers=self.config.workers) as pool:
-            return list(pool.map(lambda c: worker(*c), cells))
-
     def _write_historical_inputs(self) -> None:
         root = self.config.out_root / "data" / "historical"
         for name in self.config.parameter_priors:
@@ -302,41 +320,141 @@ class StudyPipeline:
         self._write_historical_inputs()
         if self.config.emit_psi_table:
             self._write_psi_table()
-
-        def worker(size: int, pp: str, mp: str) -> CellRecord:
-            try:
-                return self._quantify_cell(size, pp, mp)
-            except Exception as exc:
-                logger.error(
-                    "quantify cell (%s, %s, %s) failed: %s\n%s",
-                    size, pp, mp, exc, traceback.format_exc(),
-                )
-                return CellRecord(size, pp, mp, ok=False, detail=str(exc))
-
-        cells = self._map_cells(worker)
-        self._write_chain_summaries(cells)
-        report = RunReport("quantify", cells)
-        self._write_manifest(report, time.perf_counter() - t0)
-        return report
+        return self._run_panels("quantify", t0)
 
     def run_propagate(self) -> RunReport:
         """Per-member response statistics, pooled CDFs and output metrics
         for every cell (quantify artifacts are computed in-line if needed)."""
-        t0 = time.perf_counter()
+        return self._run_panels("propagate", time.perf_counter())
 
-        def worker(size: int, pp: str, mp: str) -> CellRecord:
+    # -- panels and processes ------------------------------------------------
+
+    def _run_panels(self, stage: str, t0: float) -> RunReport:
+        panels = list(dict.fromkeys((size, pp) for size, pp, _ in self.config.grid()))
+        processes = self._process_count(len(panels))
+        if processes > 1:
+            self._build_informative_priors()
+        cells: list[CellRecord] = []
+        panel_stats: dict[str, dict] = {}
+        outcomes = self._map_units("_panel", [(stage, size, pp) for size, pp in panels])
+        for (size, pp), (outcome, process) in zip(panels, outcomes):
+            if isinstance(outcome, Exception):
+                logger.error("%s panel (%s, %s) failed: %s", stage, size, pp, outcome)
+                failed = [
+                    CellRecord(size, pp, mp, ok=False, detail=str(outcome))
+                    for mp in self.config.model_priors
+                ]
+                outcome = (failed, None)
+            panel_cells, seconds = outcome
+            cells += panel_cells
+            panel_stats[f"{size}/{pp}"] = {"seconds": seconds, "process": process}
+        report = RunReport(stage, cells)
+        self._write_manifest(report, time.perf_counter() - t0, processes, panel_stats)
+        return report
+
+    def _panel(self, stage: str, size: int, pp: str) -> tuple[list[CellRecord], float]:
+        """Every model-prior cell of one (size, parameter prior) panel and,
+        for quantify, its chain summary; returns the cells and the seconds."""
+        t0 = time.perf_counter()
+        run_cell = self._quantify_cell if stage == "quantify" else self._propagate_cell
+        cells = []
+        for mp in self.config.model_priors:
             try:
-                return self._propagate_cell(size, pp, mp)
+                cells.append(run_cell(size, pp, mp))
             except Exception as exc:
                 logger.error(
-                    "propagate cell (%s, %s, %s) failed: %s\n%s",
-                    size, pp, mp, exc, traceback.format_exc(),
+                    "%s cell (%s, %s, %s) failed: %s\n%s",
+                    stage, size, pp, mp, exc, traceback.format_exc(),
                 )
-                return CellRecord(size, pp, mp, ok=False, detail=str(exc))
+                cells.append(CellRecord(size, pp, mp, ok=False, detail=str(exc)))
+        if stage == "quantify" and any(c.ok for c in cells):
+            self._write_chain_summary(size, pp)
+        return cells, time.perf_counter() - t0
 
-        report = RunReport("propagate", self._map_cells(worker))
-        self._write_manifest(report, time.perf_counter() - t0)
-        return report
+    def _build_informative_priors(self) -> None:
+        """Build every informative prior the grid needs before the panels
+        fork, so that each is built once per run, not once per size."""
+        units = [
+            (name, fam)
+            for name in self.config.parameter_priors
+            if name != NONINFORMATIVE
+            for fam in FAMILIES
+            if (name, fam) not in self._priors
+        ]
+        for (name, fam), (outcome, _) in zip(units, self._map_units("parameter_prior", units)):
+            if isinstance(outcome, Exception):
+                # a panel that needs this prior builds it again, and its
+                # cells fail with the error
+                logger.error("informative prior (%s, %s) failed: %s", name, fam.value, outcome)
+
+    def _process_count(self, n_units: int) -> int:
+        """Processes that share ``n_units`` units of work: the caller and
+        forked workers, ``workers`` in all at most; 1 without fork."""
+        processes = min(self.config.workers, n_units)
+        if processes > 1:
+            import multiprocessing
+
+            if "fork" not in multiprocessing.get_all_start_methods():
+                return 1
+        return processes
+
+    def _map_units(self, method: str, units: list[tuple]) -> list[tuple[object, str]]:
+        """``getattr(self, method)(*unit)`` for every unit, as (result or
+        raised exception, ``"caller"`` or ``"worker"``) in unit order.
+
+        With P processes, P-1 forked workers each get a unit only when idle
+        and the caller runs the next pending unit between top-ups; the
+        caches a worker filled are merged into this pipeline.  A worker
+        that dies breaks the pool: every unit in flight comes back as the
+        BrokenProcessPool error and the caller runs the rest.
+        """
+        processes = self._process_count(len(units))
+        run = getattr(self, method)
+        if processes <= 1:
+            return [(_call(run, unit), "caller") for unit in units]
+        import multiprocessing
+        from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+        from concurrent.futures.process import BrokenProcessPool
+
+        out: list = [None] * len(units)
+        pending = deque(range(len(units)))
+        running: dict = {}  # future -> unit index
+        broken = False
+        # fork, not spawn: workers inherit this pipeline, its caches and any
+        # monkeypatching without pickling.  The pool forks all its workers at
+        # the first submit, before it starts its own thread, and this
+        # process runs no other Python thread.
+        with ProcessPoolExecutor(
+            processes - 1,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_init_forked_worker,
+            initargs=(self,),
+        ) as pool:
+            while pending or running:
+                while pending and not broken and len(running) < processes - 1:
+                    try:
+                        future = pool.submit(_run_forked, method, units[pending[0]])
+                    except BrokenProcessPool:
+                        broken = True
+                        break
+                    running[future] = pending.popleft()
+                if pending:
+                    i = pending.popleft()
+                    out[i] = (_call(run, units[i]), "caller")
+                else:
+                    wait(running, return_when=FIRST_COMPLETED)
+                for future in [f for f in running if f.done()]:
+                    i = running.pop(future)
+                    try:
+                        result, built = future.result()
+                    except Exception as exc:
+                        broken |= isinstance(exc, BrokenProcessPool)
+                        out[i] = (exc, "worker")
+                        continue
+                    for name, entries in built.items():
+                        getattr(self, name).update(entries)
+                    out[i] = (result, "worker")
+        return out
 
     # -- per-cell work ---------------------------------------------------------
 
@@ -434,34 +552,35 @@ class StudyPipeline:
             zip(grid, buckling.buckling_response(self.config.plate)(grid)),
         )
 
-    def _write_chain_summaries(self, cells: list[CellRecord]) -> None:
-        panels = sorted({(c.size, c.param_prior) for c in cells if c.ok})
-        for size, pp in panels:
-            rows = []
-            for fam in FAMILIES:
-                try:
-                    ch = self.chain(size, pp, fam)
-                except Exception as exc:
-                    logger.error("chain summary (%s, %s, %s) failed: %s", size, pp, fam, exc)
-                    continue
-                mean = ch.samples.mean(axis=0)
-                sd = ch.samples.std(axis=0, ddof=1)
-                rows.append(
-                    (size, pp, fam.value, float(mean[0]), float(sd[0]),
-                     float(mean[1]), float(sd[1]), float(ch.acceptance_rate))
-                )
-            write_table(
-                self.config.cell_dir(size, pp) / "chain_summary.csv",
-                ("dataset_size", "prior_name", "model",
-                 "param1_mean", "param1_sd", "param2_mean", "param2_sd",
-                 "acceptance_rate"),
-                rows,
+    def _write_chain_summary(self, size: int, pp: str) -> None:
+        rows = []
+        for fam in FAMILIES:
+            try:
+                ch = self.chain(size, pp, fam)
+            except Exception as exc:
+                logger.error("chain summary (%s, %s, %s) failed: %s", size, pp, fam, exc)
+                continue
+            mean = ch.samples.mean(axis=0)
+            sd = ch.samples.std(axis=0, ddof=1)
+            rows.append(
+                (size, pp, fam.value, float(mean[0]), float(sd[0]),
+                 float(mean[1]), float(sd[1]), float(ch.acceptance_rate))
             )
+        write_table(
+            self.config.cell_dir(size, pp) / "chain_summary.csv",
+            ("dataset_size", "prior_name", "model",
+             "param1_mean", "param1_sd", "param2_mean", "param2_sd",
+             "acceptance_rate"),
+            rows,
+        )
 
-    def _write_manifest(self, report: RunReport, elapsed: float) -> None:
-        """Run manifest: grid status, total time, and the informative priors,
-        posterior chains and propagate cells this pipeline has built so far
-        (memoized ones from an earlier stage included)."""
+    def _write_manifest(
+        self, report: RunReport, elapsed: float, processes: int, panels: dict[str, dict]
+    ) -> None:
+        """Run manifest: grid status, total time, the processes used and each
+        panel's seconds and process, and the informative priors, posterior
+        chains and propagate cells this pipeline has built so far (cached
+        ones from an earlier stage included)."""
         path = self.config.out_root / f"manifest_{report.stage}.json"
         path.parent.mkdir(parents=True, exist_ok=True)
         payload = {
@@ -473,6 +592,8 @@ class StudyPipeline:
                 for c in report.cells
             ],
             "timings": {"total_seconds": elapsed},
+            "workers": processes,
+            "panels": panels,
             "informative_priors": dict(self._prior_stats),
             "chains": dict(self._chain_stats),
             "propagation": dict(self._propagation_stats),

@@ -192,7 +192,12 @@ def propagate(
     and every member's weighted sums from one matrix product.  Memory is
     bounded by one block of ``_BLOCK_CELLS`` cells, not by n_d x n.
     """
-    x = sample_mixture(ens, rng, n) if x_samples is None else np.asarray(x_samples, float)
+    if x_samples is None:
+        x = sample_mixture(ens, rng, n)
+    else:
+        x = np.asarray(x_samples, float)
+        if x.shape != (n,):
+            raise ValueError(f"x_samples has shape {x.shape}, expected ({n},) for n={n}")
     gv = np.asarray(g(x), dtype=float)
     if gv.shape != x.shape:
         raise ValueError("g must map the sample array to an equal-shape array")

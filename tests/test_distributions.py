@@ -186,6 +186,25 @@ class TestLogLikelihood:
         out = log_likelihood_batch(ModelFamily.NORMAL, thetas, data)
         assert np.isfinite(out[0]) and out[1] == -np.inf and out[2] == -np.inf
 
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_batch_overflow_rows_are_neg_inf(self, family):
+        # Extreme corners of the box overflow to inf - inf = nan inside the
+        # formulas (Gamma, Weibull and InverseGaussian at the second row,
+        # Normal and Lognormal at the third); such rows come back as -inf
+        # and the ordinary row in the same batch is untouched.
+        data = Dataset([1.0, 2.0, 3.0])
+        thetas = np.array(
+            [GENERIC_THETAS[family], [1.7e308, 1e-300], [1e200, 1e200], [1e200, 1e-300]]
+        )
+        with np.errstate(all="ignore"):
+            out = log_likelihood_batch(family, thetas, data)
+        assert not np.any(np.isnan(out)) and np.all(out < np.inf)
+        assert out[1] == -np.inf
+        if family in (ModelFamily.NORMAL, ModelFamily.LOGNORMAL, ModelFamily.INVERSE_GAUSSIAN):
+            assert out[2] == -np.inf
+        assert np.isfinite(out[0])
+        assert out[0] == log_likelihood_batch(family, thetas[:1], data)[0]
+
     def test_outside_support_is_neg_inf(self):
         data = Dataset([2.0, -1.0])
         assert log_likelihood(ModelFamily.LOGNORMAL, (0.0, 1.0), data) == -np.inf

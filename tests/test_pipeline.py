@@ -1,8 +1,10 @@
 """Experiment runner: file contracts, grid behavior, CLI exit codes."""
 
 import csv
+import hashlib
 import json
 import logging
+import os
 from pathlib import Path
 
 import numpy as np
@@ -303,6 +305,146 @@ class TestFailureIsolation:
         assert report.cell(25, "noninformative", "uniform").ok
         manifest = json.loads((cfg.out_root / "manifest_quantify.json").read_text())
         assert {g["ok"] for g in manifest["grid"]} == {True, False}
+
+
+def csv_digests(root: Path) -> dict[str, str]:
+    return {
+        str(f.relative_to(root)): hashlib.sha256(f.read_bytes()).hexdigest()
+        for f in sorted(root.rglob("*.csv"))
+    }
+
+
+def count_calls(monkeypatch, name: str, log: Path) -> None:
+    """Append a line to ``log`` on every call of ``mmuq.pipeline.<name>``;
+    forked workers inherit the wrapper and append to the same file."""
+    original = getattr(pipeline_module, name)
+
+    def counted(*args, **kwargs):
+        with log.open("a") as fh:
+            fh.write(name + "\n")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline_module, name, counted)
+
+
+def tiny_grid(out: Path, workers: int, **overrides) -> ExperimentConfig:
+    fields = dict(
+        name="tiny",
+        seed=4,
+        dataset_sizes=(10, 25),
+        parameter_priors=("noninformative", "ABS-B"),
+        model_priors=("uniform", "savvy"),
+        n_k=200,
+        n_d=40,
+        n_propagation=1000,
+        chain_steps=100,
+        chain_burn_in=30,
+        pre_prior_steps=100,
+        pre_prior_burn_in=30,
+        kde_max_components=200,
+        output_dir=str(out),
+        workers=workers,
+    )
+    fields.update(overrides)
+    return ExperimentConfig(**fields)
+
+
+@pytest.fixture(scope="module")
+def serial_and_forked(tmp_path_factory):
+    """The same 2-size x {noninformative, ABS-B} grid quantified and
+    propagated on 1 process and on 2, counting the posterior chains drawn
+    in each stage."""
+    runs = {}
+    for workers in (1, 2):
+        out = tmp_path_factory.mktemp(f"workers{workers}")
+        log = out / "calls.log"
+        cfg = tiny_grid(out / "study", workers)
+        counts = {}
+        with pytest.MonkeyPatch.context() as mp:
+            count_calls(mp, "sample_posterior", log)
+            pipeline = StudyPipeline(cfg)
+            for stage in ("quantify", "propagate"):
+                assert getattr(pipeline, f"run_{stage}")().all_ok
+                counts[stage] = len(log.read_text().splitlines()) if log.exists() else 0
+                log.unlink(missing_ok=True)
+        manifests = {
+            stage: json.loads((cfg.out_root / f"manifest_{stage}.json").read_text())
+            for stage in ("quantify", "propagate")
+        }
+        runs[workers] = (cfg, csv_digests(out / "study"), manifests, counts)
+    return runs
+
+
+class TestWorkerProcesses:
+    def test_outputs_byte_identical_across_worker_counts(self, serial_and_forked):
+        _, serial, serial_manifests, _ = serial_and_forked[1]
+        _, forked, forked_manifests, _ = serial_and_forked[2]
+        assert len(serial) > 0 and serial == forked
+        for stage in ("quantify", "propagate"):
+            assert set(serial_manifests[stage]["chains"]) == set(forked_manifests[stage]["chains"])
+        assert set(forked_manifests["propagate"]["propagation"]) == set(
+            serial_manifests["propagate"]["propagation"]
+        )
+
+    def test_informative_priors_built_once_per_run(self, tmp_path, monkeypatch):
+        # Two ABS-B panels, one in the worker and one in the caller: each
+        # would build all seven priors if they were not built before the fork.
+        log = tmp_path / "calls.log"
+        count_calls(monkeypatch, "build_informative_prior", log)
+        cfg = tiny_grid(
+            tmp_path / "study", 2, parameter_priors=("ABS-B",), model_priors=("uniform",)
+        )
+        assert StudyPipeline(cfg).run_quantify().all_ok
+        assert len(log.read_text().splitlines()) == len(FAMILIES)
+
+    def test_propagate_reuses_chains_from_workers(self, serial_and_forked):
+        cfg, _, _, counts = serial_and_forked[2]
+        panels = len(cfg.dataset_sizes) * len(cfg.parameter_priors)
+        assert counts == {"quantify": panels * len(FAMILIES), "propagate": 0}
+
+    def test_manifest_records_processes_and_panels(self, serial_and_forked):
+        for workers in (1, 2):
+            cfg, _, manifests, _ = serial_and_forked[workers]
+            for manifest in manifests.values():
+                assert manifest["workers"] == workers
+                panels = manifest["panels"]
+                assert set(panels) == {
+                    f"{size}/{pp}" for size in cfg.dataset_sizes for pp in cfg.parameter_priors
+                }
+                assert all(p["seconds"] > 0.0 for p in panels.values())
+                processes = {p["process"] for p in panels.values()}
+                assert processes == ({"caller"} if workers == 1 else {"caller", "worker"})
+
+    @pytest.mark.parametrize(
+        "bad_size, process, detail",
+        [(10, "worker", "terminated abruptly"), (25, "caller", "boom")],
+    )
+    def test_dead_worker_fails_only_its_panel(
+        self, bad_size, process, detail, tmp_path, monkeypatch
+    ):
+        # The first panel goes to the worker and the second to the caller.
+        cfg = tiny_grid(
+            tmp_path, 2, parameter_priors=("noninformative",), model_priors=("uniform",)
+        )
+        caller = os.getpid()
+        original = StudyPipeline.log_evidences
+
+        def sabotaged(self, size, param_prior):
+            if size == bad_size:
+                if os.getpid() != caller:
+                    os._exit(1)
+                raise RuntimeError("boom")
+            return original(self, size, param_prior)
+
+        monkeypatch.setattr(StudyPipeline, "log_evidences", sabotaged)
+        report = StudyPipeline(cfg).run_quantify()
+        bad = report.cell(bad_size, "noninformative", "uniform")
+        assert not bad.ok and detail in bad.detail
+        good_size = 25 if bad_size == 10 else 10
+        assert report.cell(good_size, "noninformative", "uniform").ok
+        manifest = json.loads((cfg.out_root / "manifest_quantify.json").read_text())
+        assert {g["ok"] for g in manifest["grid"]} == {True, False}
+        assert manifest["panels"][f"{bad_size}/noninformative"]["process"] == process
 
 
 class TestCli:

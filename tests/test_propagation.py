@@ -338,3 +338,10 @@ class TestPropagate:
         with pytest.raises(ValueError, match="non-finite"):
             propagate(ens, lambda x: np.where(x > 0, x, np.nan), 100,
                       np.random.default_rng(0))
+
+    @pytest.mark.parametrize("shape", [(10,), (21,), (4, 5)])
+    def test_x_samples_must_hold_n_points(self, shape):
+        ens = single_member_ensemble(ModelFamily.NORMAL, (1.0, 1.0))
+        x = np.ones(shape)
+        with pytest.raises(ValueError, match=rf"shape \({shape[0]},.*n=20"):
+            propagate(ens, lambda v: v, 20, None, x_samples=x)
