@@ -37,9 +37,7 @@ from .distributions import (
 from .evidence import (
     ModelPosteriorProbs,
     ModelPriorProbs,
-    aic,
     aic_weights,
-    bic,
     bic_weights,
     log_evidence_mc,
     model_posteriors,

@@ -12,12 +12,18 @@ Normal                (mu, sigma)
 Weibull               (shape k, scale s)
 ====================  =======================================================
 
-Scalar entry points (``log_pdf``, ``cdf``, ``sample``, ``log_likelihood``)
-validate parameters and raise on caller bugs.  The batch entry points
-(``log_likelihood_batch``, ``log_pdf_grid``, ``sample_one_per``) are the hot
-path for MCMC / evidence / propagation loops: invalid parameter rows map to
--inf likelihood instead of raising, so proposals outside the physical domain
-are rejected rather than crashing the pipeline.
+Each family has one formula per quantity: one log density
+(``log_pdf_grid``), one CDF (``cdf``), one sampler expression (behind
+``sample`` and ``sample_one_per``) and one likelihood
+(``log_likelihood_batch``, from sufficient statistics where the family has
+them).  The scalar entry points (``log_pdf``, ``cdf``, ``sample``,
+``log_likelihood``) validate parameters, raise on caller bugs and then run
+that formula on one parameter row.  The batch entry points are the hot path
+for MCMC / evidence / propagation loops: ``log_likelihood_batch`` maps
+invalid parameter rows to -inf, so proposals outside the physical domain are
+rejected rather than crashing the pipeline, while ``log_pdf_grid`` and
+``sample_one_per`` take rows already drawn from a valid chain and raise on an
+invalid one.
 """
 
 from __future__ import annotations
@@ -54,6 +60,11 @@ __all__ = [
 
 _LOG_2PI = np.log(2.0 * np.pi)
 _NEG_INF = -np.inf
+
+# Parameter rows per (rows x data points) block of the likelihood families
+# without sufficient statistics.  Blocks of 2^17 cells measured slower
+# (page faults on every fresh block), so keep this small.
+_LIKELIHOOD_CHUNK = 256
 
 
 class ModelFamily(Enum):
@@ -170,10 +181,7 @@ class Dataset:
 
 def theta_is_valid(family: ModelFamily, theta) -> bool:
     th = np.asarray(theta, dtype=float)
-    if th.shape != (PARAM_DIM,) or not np.all(np.isfinite(th)):
-        return False
-    pos = POSITIVE_PARAMS[family]
-    return all(th[i] > 0.0 for i in range(PARAM_DIM) if pos[i])
+    return th.shape == (PARAM_DIM,) and bool(_valid_rows(family, th[None, :])[0])
 
 
 def require_valid_theta(family: ModelFamily, theta) -> np.ndarray:
@@ -195,8 +203,14 @@ def _valid_rows(family: ModelFamily, thetas: np.ndarray) -> np.ndarray:
     return ok
 
 
+def _outside(family: ModelFamily, x: np.ndarray) -> np.ndarray:
+    """Mask of the points outside the support: x <= 0 or NaN for the
+    positive-support families, non-finite x for Normal and Logistic."""
+    return ~(x > 0.0) if family in POSITIVE_SUPPORT else ~np.isfinite(x)
+
+
 # ---------------------------------------------------------------------------
-# log densities (vectorized over x for a single theta)
+# densities and sampling
 
 
 def _logistic_logpdf_std(z: np.ndarray) -> np.ndarray:
@@ -212,41 +226,6 @@ def _logistic_logpdf_std(z: np.ndarray) -> np.ndarray:
     return a
 
 
-def _log_pdf_arr(family: ModelFamily, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
-    p1, p2 = float(theta[0]), float(theta[1])
-    out = np.full(x.shape, _NEG_INF)
-    if family in POSITIVE_SUPPORT:
-        inside = x > 0.0
-    else:
-        inside = np.isfinite(x)
-    xi = x[inside]
-
-    if family is ModelFamily.NORMAL:
-        out[inside] = -np.log(p2) - 0.5 * _LOG_2PI - 0.5 * ((xi - p1) / p2) ** 2
-    elif family is ModelFamily.LOGNORMAL:
-        lx = np.log(xi)
-        out[inside] = -lx - np.log(p2) - 0.5 * _LOG_2PI - 0.5 * ((lx - p1) / p2) ** 2
-    elif family is ModelFamily.GAMMA:
-        out[inside] = (
-            (p1 - 1.0) * np.log(xi) - xi / p2 - p1 * np.log(p2) - special.gammaln(p1)
-        )
-    elif family is ModelFamily.INVERSE_GAUSSIAN:
-        out[inside] = 0.5 * (np.log(p2) - _LOG_2PI - 3.0 * np.log(xi)) - p2 * (
-            xi - p1
-        ) ** 2 / (2.0 * p1**2 * xi)
-    elif family is ModelFamily.LOGISTIC:
-        out[inside] = _logistic_logpdf_std((xi - p1) / p2) - np.log(p2)
-    elif family is ModelFamily.LOGLOGISTIC:
-        lx = np.log(xi)
-        out[inside] = _logistic_logpdf_std((lx - p1) / p2) - np.log(p2) - lx
-    elif family is ModelFamily.WEIBULL:
-        r = xi / p2
-        out[inside] = np.log(p1) - np.log(p2) + (p1 - 1.0) * np.log(r) - r**p1
-    else:  # pragma: no cover
-        raise KeyError(family)
-    return out
-
-
 def log_pdf(family: ModelFamily, theta, x):
     """Log density at ``x``; -inf outside the support.
 
@@ -254,7 +233,7 @@ def log_pdf(family: ModelFamily, theta, x):
     """
     th = require_valid_theta(family, theta)
     xa = np.asarray(x, dtype=float)
-    out = _log_pdf_arr(family, th, np.atleast_1d(xa))
+    out = log_pdf_grid(family, th[None, :], xa.ravel())[0]
     return float(out[0]) if xa.ndim == 0 else out.reshape(xa.shape)
 
 
@@ -262,50 +241,57 @@ def pdf(family: ModelFamily, theta, x):
     return np.exp(log_pdf(family, theta, x))
 
 
-def _cdf_arr(family: ModelFamily, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
-    p1, p2 = float(theta[0]), float(theta[1])
-    if family in POSITIVE_SUPPORT:
-        out = np.zeros(x.shape)
-        inside = x > 0.0
-    else:
-        out = np.zeros(x.shape)
-        inside = np.isfinite(x)
-    xi = x[inside]
-
-    if family is ModelFamily.NORMAL:
-        out[inside] = special.ndtr((xi - p1) / p2)
-    elif family is ModelFamily.LOGNORMAL:
-        out[inside] = special.ndtr((np.log(xi) - p1) / p2)
-    elif family is ModelFamily.GAMMA:
-        out[inside] = special.gammainc(p1, xi / p2)
-    elif family is ModelFamily.INVERSE_GAUSSIAN:
-        rt = np.sqrt(p2 / xi)
-        # second term computed in log space; it underflows harmlessly to 0
-        t1 = special.ndtr(rt * (xi / p1 - 1.0))
-        with np.errstate(over="ignore"):
-            t2 = np.exp(2.0 * p2 / p1 + special.log_ndtr(-rt * (xi / p1 + 1.0)))
-        out[inside] = np.clip(t1 + t2, 0.0, 1.0)
-    elif family is ModelFamily.LOGISTIC:
-        out[inside] = special.expit((xi - p1) / p2)
-    elif family is ModelFamily.LOGLOGISTIC:
-        out[inside] = special.expit((np.log(xi) - p1) / p2)
-    elif family is ModelFamily.WEIBULL:
-        out[inside] = -np.expm1(-((xi / p2) ** p1))
-    else:  # pragma: no cover
-        raise KeyError(family)
-    return out
-
-
 def cdf(family: ModelFamily, theta, x):
     """Cumulative distribution function; 0/1 beyond the support endpoints."""
     th = require_valid_theta(family, theta)
     xa = np.asarray(x, dtype=float)
-    out = _cdf_arr(family, th, np.atleast_1d(xa))
+    x = xa.ravel()
+    p1, p2 = float(th[0]), float(th[1])
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if family is ModelFamily.NORMAL:
+            out = special.ndtr((x - p1) / p2)
+        elif family is ModelFamily.LOGNORMAL:
+            out = special.ndtr((np.log(x) - p1) / p2)
+        elif family is ModelFamily.GAMMA:
+            out = special.gammainc(p1, x / p2)
+        elif family is ModelFamily.INVERSE_GAUSSIAN:
+            rt = np.sqrt(p2 / x)
+            # second term computed in log space; it underflows harmlessly to 0
+            t1 = special.ndtr(rt * (x / p1 - 1.0))
+            t2 = np.exp(2.0 * p2 / p1 + special.log_ndtr(-rt * (x / p1 + 1.0)))
+            out = np.clip(t1 + t2, 0.0, 1.0)
+        elif family is ModelFamily.LOGISTIC:
+            out = special.expit((x - p1) / p2)
+        elif family is ModelFamily.LOGLOGISTIC:
+            out = special.expit((np.log(x) - p1) / p2)
+        elif family is ModelFamily.WEIBULL:
+            out = -np.expm1(-((x / p2) ** p1))
+        else:  # pragma: no cover
+            raise KeyError(family)
+    out[_outside(family, x)] = 0.0
+    out[x == np.inf] = 1.0
     return float(out[0]) if xa.ndim == 0 else out.reshape(xa.shape)
 
 
-# ---------------------------------------------------------------------------
-# sampling
+def _draw(family: ModelFamily, p1, p2, rng: np.random.Generator, size: int) -> np.ndarray:
+    """``size`` variates at parameters ``p1``, ``p2``: scalars for iid
+    draws, or length-``size`` arrays for one draw per parameter row."""
+    if family is ModelFamily.NORMAL:
+        return rng.normal(p1, p2, size)
+    if family is ModelFamily.LOGNORMAL:
+        return np.exp(rng.normal(p1, p2, size))
+    if family is ModelFamily.GAMMA:
+        return rng.gamma(p1, p2, size)
+    if family is ModelFamily.INVERSE_GAUSSIAN:
+        return rng.wald(p1, p2, size)
+    if family is ModelFamily.LOGISTIC:
+        return rng.logistic(p1, p2, size)
+    if family is ModelFamily.LOGLOGISTIC:
+        return np.exp(rng.logistic(p1, p2, size))
+    if family is ModelFamily.WEIBULL:
+        return p2 * rng.weibull(p1, size)
+    raise KeyError(family)  # pragma: no cover
 
 
 def sample(family: ModelFamily, theta, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -313,22 +299,7 @@ def sample(family: ModelFamily, theta, rng: np.random.Generator, count: int) -> 
     th = require_valid_theta(family, theta)
     if count < 1:
         raise ValueError("count must be >= 1")
-    p1, p2 = float(th[0]), float(th[1])
-    if family is ModelFamily.NORMAL:
-        return rng.normal(p1, p2, count)
-    if family is ModelFamily.LOGNORMAL:
-        return np.exp(rng.normal(p1, p2, count))
-    if family is ModelFamily.GAMMA:
-        return rng.gamma(p1, p2, count)
-    if family is ModelFamily.INVERSE_GAUSSIAN:
-        return rng.wald(p1, p2, count)
-    if family is ModelFamily.LOGISTIC:
-        return rng.logistic(p1, p2, count)
-    if family is ModelFamily.LOGLOGISTIC:
-        return np.exp(rng.logistic(p1, p2, count))
-    if family is ModelFamily.WEIBULL:
-        return p2 * rng.weibull(p1, count)
-    raise KeyError(family)  # pragma: no cover
+    return _draw(family, float(th[0]), float(th[1]), rng, count)
 
 
 def sample_one_per(family: ModelFamily, thetas: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -336,23 +307,7 @@ def sample_one_per(family: ModelFamily, thetas: np.ndarray, rng: np.random.Gener
     thetas = np.asarray(thetas, dtype=float)
     if not np.all(_valid_rows(family, thetas)):
         raise InvalidParameterError(f"invalid parameter rows for {family}")
-    p1, p2 = thetas[:, 0], thetas[:, 1]
-    m = thetas.shape[0]
-    if family is ModelFamily.NORMAL:
-        return rng.normal(p1, p2)
-    if family is ModelFamily.LOGNORMAL:
-        return np.exp(rng.normal(p1, p2))
-    if family is ModelFamily.GAMMA:
-        return rng.gamma(p1, p2)
-    if family is ModelFamily.INVERSE_GAUSSIAN:
-        return rng.wald(p1, p2)
-    if family is ModelFamily.LOGISTIC:
-        return rng.logistic(p1, p2)
-    if family is ModelFamily.LOGLOGISTIC:
-        return np.exp(rng.logistic(p1, p2))
-    if family is ModelFamily.WEIBULL:
-        return p2 * rng.weibull(p1, m)
-    raise KeyError(family)  # pragma: no cover
+    return _draw(family, thetas[:, 0], thetas[:, 1], rng, thetas.shape[0])
 
 
 # ---------------------------------------------------------------------------
@@ -366,9 +321,7 @@ def log_likelihood(family: ModelFamily, theta, data: Dataset) -> float:
     return float(log_likelihood_batch(family, th[None, :], data)[0])
 
 
-def log_likelihood_batch(
-    family: ModelFamily, thetas: np.ndarray, data: Dataset, chunk: int = 256
-) -> np.ndarray:
+def log_likelihood_batch(family: ModelFamily, thetas: np.ndarray, data: Dataset) -> np.ndarray:
     """Log likelihood for each parameter row; invalid rows give -inf.
 
     Uses closed-form sufficient statistics where the family admits them
@@ -416,8 +369,8 @@ def log_likelihood_batch(
         else:  # Weibull
             xs, extra = data.log_values, 0.0
         vals = np.empty(p1.size)
-        for start in range(0, p1.size, chunk):
-            stop = min(start + chunk, p1.size)
+        for start in range(0, p1.size, _LIKELIHOOD_CHUNK):
+            stop = min(start + _LIKELIHOOD_CHUNK, p1.size)
             a = p1[start:stop, None]
             b = p2[start:stop, None]
             if family is ModelFamily.WEIBULL:
@@ -446,9 +399,8 @@ def log_pdf_grid(family: ModelFamily, thetas: np.ndarray, x: np.ndarray) -> np.n
     points.  Rows must be valid.
 
     The formula runs on every column, in place where that saves a
-    temporary; columns outside the support are then set to -inf.  Each
-    family's operations and their order are those of the scalar
-    ``log_pdf``.
+    temporary; columns outside the support are then set to -inf.
+    ``log_pdf`` returns one row of it.
     """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     x = np.asarray(x, dtype=float)
@@ -509,7 +461,7 @@ def log_pdf_grid(family: ModelFamily, thetas: np.ndarray, x: np.ndarray) -> np.n
             out -= r
         else:  # pragma: no cover
             raise KeyError(family)
-    outside = ~(x > 0.0) if family in POSITIVE_SUPPORT else ~np.isfinite(x)
+    outside = _outside(family, x)
     if np.any(outside):
         out[:, outside] = _NEG_INF
     return out

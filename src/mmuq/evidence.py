@@ -34,8 +34,6 @@ __all__ = [
     "log_evidence_mc",
     "model_posteriors",
     "max_log_likelihood",
-    "aic",
-    "bic",
     "information_criteria",
     "aic_weights",
     "bic_weights",
@@ -165,19 +163,10 @@ def max_log_likelihood(family: ModelFamily, data: Dataset) -> tuple[np.ndarray, 
 
 
 def information_criteria(family: ModelFamily, data: Dataset) -> tuple[float, float]:
-    """(AIC, BIC) from a single MLE solve."""
+    """(AIC, BIC) = (-2 ll + 2K, -2 ll + K ln n) from a single MLE solve,
+    with ll the maximized log likelihood and K the parameter count."""
     _, ll = max_log_likelihood(family, data)
     return -2.0 * ll + 2.0 * PARAM_DIM, -2.0 * ll + PARAM_DIM * np.log(data.n)
-
-
-def aic(family: ModelFamily, data: Dataset) -> float:
-    """Akaike information criterion -2 max-log-likelihood + 2K."""
-    return information_criteria(family, data)[0]
-
-
-def bic(family: ModelFamily, data: Dataset) -> float:
-    """Bayesian information criterion -2 max-log-likelihood + K ln n."""
-    return information_criteria(family, data)[1]
 
 
 def aic_weights(aics) -> np.ndarray:

@@ -4,6 +4,8 @@ Quadrature and moment oracles are computed in-test; they never reuse the
 closed-form implementations they check.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import gammaln, ndtr
@@ -100,6 +102,19 @@ class TestCdf:
         assert np.all((c >= 0.0) & (c <= 1.0))
 
     @pytest.mark.parametrize("family", FAMILIES)
+    def test_support_endpoints(self, family):
+        theta = STUDY_THETAS[family]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cdf(family, theta, -np.inf) == 0.0
+            assert cdf(family, theta, np.inf) == 1.0
+            np.testing.assert_array_equal(cdf(family, theta, [-np.inf, np.inf]), [0.0, 1.0])
+            if family not in (ModelFamily.NORMAL, ModelFamily.LOGISTIC):
+                np.testing.assert_array_equal(
+                    cdf(family, theta, [-np.inf, -5.0, -1e-300, -0.0, 0.0]), 0.0
+                )
+
+    @pytest.mark.parametrize("family", FAMILIES)
     def test_cdf_agrees_with_sample_quantiles(self, family, rng):
         theta = STUDY_THETAS[family]
         draws = sample(family, theta, rng, 10**6)
@@ -128,6 +143,13 @@ class TestSample:
         a = sample(family, theta, np.random.default_rng(11), 64)
         b = sample(family, theta, np.random.default_rng(11), 64)
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_sample_equals_sample_one_per_on_tiled_theta(self, family):
+        theta = np.asarray(GENERIC_THETAS[family], dtype=float)
+        iid = sample(family, theta, np.random.default_rng(5), 257)
+        per_row = sample_one_per(family, np.tile(theta, (257, 1)), np.random.default_rng(5))
+        np.testing.assert_array_equal(iid.view(np.uint64), per_row.view(np.uint64))
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_sample_one_per_matches_distribution(self, family, rng):
@@ -210,15 +232,42 @@ class TestLogLikelihood:
         assert log_likelihood(ModelFamily.LOGNORMAL, (0.0, 1.0), data) == -np.inf
 
     @pytest.mark.parametrize("family", FAMILIES)
-    def test_grid_matches_scalar_log_pdf(self, family):
-        theta = GENERIC_THETAS[family]
-        x = np.array([-1.0, 0.5, 1.0, 3.2])
-        grid = log_pdf_grid(family, np.asarray(theta)[None, :], x)[0]
-        expected = log_pdf(family, theta, x)
-        np.testing.assert_allclose(grid, expected, rtol=1e-12)
+    def test_grid_matches_scalar_log_pdf(self, family, rng):
+        # the scalar entry point against the masked reference formula
+        thetas = jittered_thetas(family, rng)
+        x = edge_and_random_points(rng)
+        want = masked_log_pdf_grid(family, thetas, x)
+        for theta, row in zip(thetas, want):
+            assert_same_bits(log_pdf(family, theta, x), row)
+        for xv, expected in zip(x[:8], want[0, :8]):  # 0-d inputs
+            assert_same_bits(np.array([log_pdf(family, thetas[0], xv)]), np.array([expected]))
 
 
 _LOG_2PI = np.log(2.0 * np.pi)
+
+EDGE_POINTS = [-np.inf, -3.0, -1e-300, -0.0, 0.0, 1e-300, np.nan, np.inf]
+
+
+def jittered_thetas(family, rng):
+    """Twelve parameter rows around the study and generic points."""
+    thetas = np.array(
+        [STUDY_THETAS[family], GENERIC_THETAS[family]]
+    ) * rng.uniform(0.8, 1.25, size=(6, 1, 2))
+    return thetas.reshape(-1, 2)
+
+
+def edge_and_random_points(rng):
+    return np.concatenate(
+        [EDGE_POINTS, rng.normal(20.0, 25.0, 500), rng.lognormal(0.0, 1.0, 500)]
+    )
+
+
+def assert_same_bits(got, want):
+    """Equal bit patterns, except that any NaN matches any NaN."""
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+    keep = ~np.isnan(want)
+    np.testing.assert_array_equal(got[keep].view(np.uint64), want[keep].view(np.uint64))
 
 
 def masked_log_pdf_grid(family, thetas, x):
@@ -263,24 +312,11 @@ def masked_log_pdf_grid(family, thetas, x):
 class TestLogPdfGrid:
     @pytest.mark.parametrize("family", FAMILIES)
     def test_bitwise_equal_to_masked_formula(self, family, rng):
-        thetas = np.array(
-            [STUDY_THETAS[family], GENERIC_THETAS[family]]
-        ) * rng.uniform(0.8, 1.25, size=(6, 1, 2))
-        thetas = thetas.reshape(-1, 2)
-        x = np.concatenate(
-            [
-                [-np.inf, -3.0, -1e-300, -0.0, 0.0, 1e-300, np.nan, np.inf],
-                rng.normal(20.0, 25.0, 500),
-                rng.lognormal(0.0, 1.0, 500),
-            ]
-        )
+        thetas = jittered_thetas(family, rng)
+        x = edge_and_random_points(rng)
         for xs in (x, x[::3]):  # contiguous and strided points
             got = log_pdf_grid(family, thetas, xs)
-            want = masked_log_pdf_grid(family, thetas, xs)
-            assert got.shape == want.shape
-            np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
-            keep = ~np.isnan(want)
-            np.testing.assert_array_equal(got[keep].view(np.uint64), want[keep].view(np.uint64))
+            assert_same_bits(got, masked_log_pdf_grid(family, thetas, xs))
             assert np.all(got[:, ~np.isfinite(xs) & (xs != np.inf)] == -np.inf)
 
 

@@ -10,9 +10,7 @@ from mmuq.evidence import (
     EvidenceUnderflowError,
     ModelPosteriorProbs,
     ModelPriorProbs,
-    aic,
     aic_weights,
-    bic,
     bic_weights,
     information_criteria,
     log_evidence_mc,
@@ -174,15 +172,16 @@ class TestInformationCriteria:
         sigma2 = 2.0 / 3.0
         ll_expected = -1.5 * np.log(2 * np.pi * sigma2) - 1.0 / sigma2
         assert ll == pytest.approx(ll_expected, rel=1e-9)
-        assert aic(ModelFamily.NORMAL, data) == pytest.approx(-2 * ll_expected + 4.0, rel=1e-9)
+        aic = information_criteria(ModelFamily.NORMAL, data)[0]
+        assert aic == pytest.approx(-2 * ll_expected + 4.0, rel=1e-9)
 
     def test_doubling_data_adds_k_ln2_to_bic_penalty(self, rng):
         data = Dataset(rng.normal(30.0, 3.0, 12))
         doubled = data.concat(data)
         _, ll1 = max_log_likelihood(ModelFamily.NORMAL, data)
         _, ll2 = max_log_likelihood(ModelFamily.NORMAL, doubled)
-        pen1 = bic(ModelFamily.NORMAL, data) + 2.0 * ll1
-        pen2 = bic(ModelFamily.NORMAL, doubled) + 2.0 * ll2
+        pen1 = information_criteria(ModelFamily.NORMAL, data)[1] + 2.0 * ll1
+        pen2 = information_criteria(ModelFamily.NORMAL, doubled)[1] + 2.0 * ll2
         assert pen2 - pen1 == pytest.approx(2.0 * np.log(2.0), abs=1e-6)
 
     @pytest.mark.parametrize(

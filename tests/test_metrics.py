@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mmuq.distributions import FAMILIES, ModelFamily
+from mmuq import propagation
+from mmuq.distributions import FAMILIES, ModelFamily, params_from_moments, pdf
 from mmuq.metrics import (
     CoarseGridError,
     EmpiricalCdf,
+    _member_square_distance,
     area_validation_metric,
     avg_mean_square_distance,
     confidence_range,
@@ -51,6 +53,27 @@ class TestAvgMeanSquareDistance:
         a = avg_mean_square_distance(normal_ensemble(mus, 4.0), truth, grid)
         b = avg_mean_square_distance(normal_ensemble(mus + mus, 4.0), truth, grid)
         assert a == pytest.approx(b, rel=1e-12)
+
+    def test_member_square_distance_matches_per_member_trapezoid(self, rng):
+        # 20 members per family, shuffled, around the study point: more
+        # members than one density block of the whole grid holds, so the
+        # sum runs over several column blocks and a tail
+        codes = rng.permutation(np.repeat(np.arange(len(FAMILIES)), 20))
+        thetas = np.array(
+            [params_from_moments(FAMILIES[c], 34.782, 0.116) for c in codes]
+        ) * rng.uniform(0.9, 1.1, size=(codes.size, 2))
+        ens = DistributionEnsemble(codes, thetas)
+        grid = default_sigma0_grid()
+        assert ens.n_members > propagation._BLOCK_CELLS // grid.size
+        truth = pdf(
+            ModelFamily.LOGNORMAL,
+            params_from_moments(ModelFamily.LOGNORMAL, 34.782, 0.116),
+            grid,
+        )
+        want = sum(
+            np.trapezoid((pdf(fam, theta, grid) - truth) ** 2, grid) for fam, theta in ens
+        )
+        assert _member_square_distance(ens, truth, grid) == pytest.approx(want, rel=1e-12)
 
     def test_coarse_grid_raises(self):
         # narrow densities on an 11-point grid over 50 ksi are unresolved
