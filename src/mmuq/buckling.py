@@ -115,12 +115,7 @@ def psi_carlsen(cfg: PlateConfig):
     May go negative for extreme inputs; values flow through statistics
     unchanged.
     """
-    lam = slenderness(cfg)
-    return (
-        (2.1 / lam - 0.9 / lam**2)
-        * (1.0 - 0.75 * cfg.delta0 / lam)
-        * (1.0 - 2.0 * cfg.eta * cfg.t / cfg.b)
-    )
+    return buckling_response(cfg)(cfg.sigma0)
 
 
 def buckling_response(base: PlateConfig = MEAN_PLATE) -> Callable[[np.ndarray], np.ndarray]:

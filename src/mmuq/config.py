@@ -73,7 +73,6 @@ class ExperimentConfig:
     pre_prior_steps: int = 1500
     pre_prior_burn_in: int = 500
     kde_max_components: int = 5000
-    emit_psi_table: bool = True
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "dataset_sizes", tuple(int(s) for s in self.dataset_sizes))

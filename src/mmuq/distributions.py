@@ -204,9 +204,10 @@ def _valid_rows(family: ModelFamily, thetas: np.ndarray) -> np.ndarray:
 
 
 def _outside(family: ModelFamily, x: np.ndarray) -> np.ndarray:
-    """Mask of the points outside the support: x <= 0 or NaN for the
-    positive-support families, non-finite x for Normal and Logistic."""
-    return ~(x > 0.0) if family in POSITIVE_SUPPORT else ~np.isfinite(x)
+    """Mask of the points outside the support: x <= 0 for the
+    positive-support families, x = +-inf for Normal and Logistic.  NaN is
+    never outside, so the formulas carry it through."""
+    return x <= 0.0 if family in POSITIVE_SUPPORT else np.isinf(x)
 
 
 # ---------------------------------------------------------------------------

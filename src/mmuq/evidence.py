@@ -40,8 +40,6 @@ __all__ = [
     "savvy_priors",
 ]
 
-DEFAULT_N_K = 10_000
-
 
 class EvidenceUnderflowError(RuntimeError):
     """Every prior draw had zero likelihood (prior and data incompatible)."""
@@ -94,15 +92,13 @@ def log_evidence_mc(
     family: ModelFamily,
     data: Dataset,
     prior,
-    n_k: int = DEFAULT_N_K,
-    rng: np.random.Generator | None = None,
+    n_k: int,
+    rng: np.random.Generator,
 ) -> float:
     """Monte Carlo log evidence: log of the mean likelihood over ``n_k``
     parameter draws from the prior."""
     if n_k < 1:
         raise ValueError("n_k must be >= 1")
-    if rng is None:
-        rng = np.random.default_rng(0)
     thetas = prior.sample(rng, n_k)
     ll = log_likelihood_batch(family, thetas, data)
     if np.all(np.isneginf(ll)):

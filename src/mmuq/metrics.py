@@ -67,21 +67,27 @@ def default_sigma0_grid(n_points: int = 2001) -> np.ndarray:
     return np.linspace(15.0, 65.0, n_points)
 
 
-def _member_square_distance(
-    ens: DistributionEnsemble, truth_density: np.ndarray, grid: np.ndarray
-) -> float:
-    """Sum over members of the trapezoid integral of (p - truth)^2 on
-    ``grid``, as one weighted sum per density block."""
+def _trapezoid_weights(grid: np.ndarray) -> np.ndarray:
+    """Weights w with ``w @ f`` the trapezoid integral of f over ``grid``."""
     step = np.diff(grid)
     w = np.zeros(grid.size)
     w[1:] += step
     w[:-1] += step
     w *= 0.5
-    total = 0.0
-    for _, cols, dens in _density_blocks(ens, grid):
+    return w
+
+
+def _member_square_distance(
+    ens: DistributionEnsemble, truth_density: np.ndarray, x: np.ndarray, weights: np.ndarray
+) -> np.ndarray:
+    """Sum over members of the integral of (p - truth)^2 under each column
+    of the (points x k) quadrature ``weights`` on ``x``: one evaluation of
+    every member density, one matrix product per density block."""
+    total = np.zeros(weights.shape[1])
+    for _, cols, dens in _density_blocks(ens, x):
         dens -= truth_density[cols]
         dens *= dens
-        total += float(np.sum(dens @ w[cols]))
+        total += np.sum(dens @ weights[cols], axis=0)
     return total
 
 
@@ -89,34 +95,32 @@ def avg_mean_square_distance(
     ens: DistributionEnsemble,
     truth: tuple[ModelFamily, np.ndarray],
     grid: np.ndarray | None = None,
-    check_refinement: bool = True,
 ) -> float:
     """Half the mean, over members, of the integrated squared difference
     between member density and the reference density.
 
-    The integral uses the trapezoid rule on ``grid``; a doubled-resolution
-    pass guards against under-resolved grids.
+    The integral uses the trapezoid rule on the ascending ``grid``; the
+    same integral on a doubled-resolution grid, taken from the same density
+    evaluations, guards against under-resolved grids.
     """
     if grid is None:
         grid = default_sigma0_grid()
     grid = np.asarray(grid, dtype=float)
+    fine = np.linspace(grid[0], grid[-1], 2 * (grid.size - 1) + 1)
+    x = np.union1d(grid, fine)
+    weights = np.zeros((x.size, 2))
+    weights[np.searchsorted(x, grid), 0] = _trapezoid_weights(grid)
+    weights[np.searchsorted(x, fine), 1] = _trapezoid_weights(fine)
     fam, theta = truth
-
-    def delta_on(g: np.ndarray) -> float:
-        p_true = np.exp(log_pdf_grid(fam, np.asarray(theta)[None, :], g)[0])
-        return 0.5 * _member_square_distance(ens, p_true, g) / ens.n_members
-
-    delta = delta_on(grid)
-    if check_refinement:
-        fine = np.linspace(grid[0], grid[-1], 2 * (grid.size - 1) + 1)
-        delta_fine = delta_on(fine)
-        scale = max(abs(delta_fine), abs(delta))
-        if scale > 0.0 and abs(delta_fine - delta) > 0.01 * scale:
-            raise CoarseGridError(
-                f"density distance changed {delta:.6g} -> {delta_fine:.6g} "
-                "on refinement; use a finer grid"
-            )
-    return delta
+    p_true = np.exp(log_pdf_grid(fam, np.asarray(theta)[None, :], x)[0])
+    delta, delta_fine = 0.5 * _member_square_distance(ens, p_true, x, weights) / ens.n_members
+    scale = max(abs(delta_fine), abs(delta))
+    if scale > 0.0 and abs(delta_fine - delta) > 0.01 * scale:
+        raise CoarseGridError(
+            f"density distance changed {delta:.6g} -> {delta_fine:.6g} "
+            "on refinement; use a finer grid"
+        )
+    return float(delta)
 
 
 def confidence_range(cdf: EmpiricalCdf) -> float:

@@ -6,14 +6,19 @@ the cell coordinates, so outputs are byte-identical across repeat runs and
 worker counts.  A failing cell is logged and skipped; the remaining cells
 still run.
 
-The unit of parallel work is a panel, one (size, parameter prior) pair with
-all its model-prior cells: with ``workers=N`` the calling process and N-1
-forked worker processes run panels, and the caller merges back everything
-a worker built.
+Every shared artifact (dataset, prior, chain, evidences, criteria,
+ensemble, true output statistics) is built once per pipeline and kept in
+one store, keyed by the method that builds it and its arguments; the
+manifest records sit in the same store.  The unit of parallel work is a
+panel, one (size, parameter prior) pair with all its model-prior cells:
+with ``workers=N`` the calling process and N-1 forked worker processes run
+panels, each worker sends back the store entries it added, and the caller
+merges them into its own store.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import time
@@ -80,7 +85,6 @@ class CellRecord:
     model_prior: str
     ok: bool
     detail: str = ""
-    posterior: ModelPosteriorProbs | None = None
     metric_rows: list = field(default_factory=list)
 
 
@@ -100,18 +104,20 @@ class RunReport:
         raise KeyError((size, param_prior, model_prior))
 
 
-def _cached(cache: dict, key, build):
-    if key not in cache:
-        cache[key] = build()
-    return cache[key]
+def _memo(method):
+    """``method(self, *args)`` built once per pipeline and kept in its store
+    under ``(method name, *args)``."""
+    name = method.__name__
 
+    @functools.wraps(method)
+    def memoized(self, *args):
+        key = (name, *args)
+        if key not in self._built:
+            self._built[key] = method(self, *args)
+        return self._built[key]
 
-# Every per-run cache and manifest record of a StudyPipeline; a forked
-# worker returns the entries it added to each, and the caller merges them.
-_CACHES = (
-    "_datasets", "_priors", "_chains", "_evidence", "_criteria", "_ensembles", "_truth",
-    "_prior_stats", "_chain_stats", "_propagation_stats",
-)
+    return memoized
+
 
 # The pipeline a forked worker process serves, set by its pool initializer.
 _forked_pipeline: StudyPipeline | None = None
@@ -131,121 +137,98 @@ def _call(fn, unit: tuple):
 
 
 def _run_forked(method: str, unit: tuple):
-    """Run one unit in a forked worker; return its result and the cache
-    entries it built."""
+    """Run one unit in a forked worker; return its result and the store
+    entries it added."""
     pipeline = _forked_pipeline
-    before = {name: set(getattr(pipeline, name)) for name in _CACHES}
+    before = set(pipeline._built)
     result = getattr(pipeline, method)(*unit)
-    built = {
-        name: {k: v for k, v in getattr(pipeline, name).items() if k not in before[name]}
-        for name in _CACHES
-    }
-    return result, built
+    return result, {k: v for k, v in pipeline._built.items() if k not in before}
 
 
 class StudyPipeline:
-    """Shared caches plus the quantify / propagate stages for one config."""
+    """One store of shared artifacts plus the quantify / propagate stages
+    for one config."""
 
     def __init__(self, config: ExperimentConfig):
         self.config = config
-        self._datasets: dict = {}
-        self._priors: dict = {}
-        self._chains: dict = {}
-        self._evidence: dict = {}
-        self._criteria: dict = {}
-        self._ensembles: dict = {}
-        self._truth: dict = {}
-        # Manifest diagnostics, one entry per cached build.
-        self._prior_stats: dict[str, dict] = {}
-        self._chain_stats: dict[str, dict] = {}
-        self._propagation_stats: dict[str, dict] = {}
+        # Every artifact built so far, keyed (method name, *args), and the
+        # manifest records, keyed ("manifest", section, name).
+        self._built: dict[tuple, object] = {}
 
     # -- shared artifacts ---------------------------------------------------
 
+    @_memo
     def dataset(self, size: int) -> Dataset:
-        return _cached(
-            self._datasets,
-            size,
-            lambda: buckling.generate_data(buckling.TRUE_MODEL, size, self.config.seed),
+        return buckling.generate_data(buckling.TRUE_MODEL, size, self.config.seed)
+
+    @_memo
+    def parameter_prior(self, name: str, family: ModelFamily):
+        if name == NONINFORMATIVE:
+            return default_uniform_prior(family)
+        cfg = EnsembleConfig(
+            n_walkers=self.config.chain_walkers,
+            n_steps=self.config.pre_prior_steps,
+            burn_in=self.config.pre_prior_burn_in,
+        )
+        prior = build_informative_prior(
+            family,
+            historical_dataset(name),
+            cfg=cfg,
+            rng=rng_for(self.config.seed, "pre-prior", name, family.value),
+            max_components=self.config.kde_max_components,
+        )
+        self._built["manifest", "informative_priors", f"{name}/{family.value}"] = {
+            "family": family.value,
+            "n_components": prior.n_components,
+            "bandwidths": prior.bandwidths.tolist(),
+        }
+        return prior
+
+    @_memo
+    def chain(self, size: int, param_prior: str, family: ModelFamily) -> PosteriorChain:
+        cfg = EnsembleConfig(
+            n_walkers=self.config.chain_walkers,
+            n_steps=self.config.chain_steps,
+            burn_in=self.config.chain_burn_in,
+        )
+        data = self.dataset(size)
+        prior = self.parameter_prior(param_prior, family)
+        t0 = time.perf_counter()
+        chain = sample_posterior(
+            family,
+            data,
+            prior,
+            cfg,
+            rng_for(self.config.seed, "chain", size, param_prior, family.value),
+        )
+        self._built["manifest", "chains", f"{size}/{param_prior}/{family.value}"] = {
+            "seconds": time.perf_counter() - t0,
+            "acceptance_rate": float(chain.acceptance_rate),
+        }
+        return chain
+
+    @_memo
+    def log_evidences(self, size: int, param_prior: str) -> np.ndarray:
+        data = self.dataset(size)
+        return np.array(
+            [
+                log_evidence_mc(
+                    fam,
+                    data,
+                    self.parameter_prior(param_prior, fam),
+                    self.config.n_k,
+                    rng_for(self.config.seed, "evidence", size, param_prior, fam.value),
+                )
+                for fam in FAMILIES
+            ]
         )
 
-    def parameter_prior(self, name: str, family: ModelFamily):
-        def build():
-            if name == NONINFORMATIVE:
-                return default_uniform_prior(family)
-            cfg = EnsembleConfig(
-                n_walkers=self.config.chain_walkers,
-                n_steps=self.config.pre_prior_steps,
-                burn_in=self.config.pre_prior_burn_in,
-            )
-            prior = build_informative_prior(
-                family,
-                historical_dataset(name),
-                cfg=cfg,
-                rng=rng_for(self.config.seed, "pre-prior", name, family.value),
-                max_components=self.config.kde_max_components,
-            )
-            self._prior_stats[f"{name}/{family.value}"] = {
-                "family": family.value,
-                "n_components": prior.n_components,
-                "bandwidths": prior.bandwidths.tolist(),
-            }
-            return prior
-
-        return _cached(self._priors, (name, family), build)
-
-    def chain(self, size: int, param_prior: str, family: ModelFamily) -> PosteriorChain:
-        def build():
-            cfg = EnsembleConfig(
-                n_walkers=self.config.chain_walkers,
-                n_steps=self.config.chain_steps,
-                burn_in=self.config.chain_burn_in,
-            )
-            data = self.dataset(size)
-            prior = self.parameter_prior(param_prior, family)
-            t0 = time.perf_counter()
-            chain = sample_posterior(
-                family,
-                data,
-                prior,
-                cfg,
-                rng_for(self.config.seed, "chain", size, param_prior, family.value),
-            )
-            self._chain_stats[f"{size}/{param_prior}/{family.value}"] = {
-                "seconds": time.perf_counter() - t0,
-                "acceptance_rate": float(chain.acceptance_rate),
-            }
-            return chain
-
-        return _cached(self._chains, (size, param_prior, family), build)
-
-    def log_evidences(self, size: int, param_prior: str) -> np.ndarray:
-        def build():
-            data = self.dataset(size)
-            return np.array(
-                [
-                    log_evidence_mc(
-                        fam,
-                        data,
-                        self.parameter_prior(param_prior, fam),
-                        self.config.n_k,
-                        rng_for(self.config.seed, "evidence", size, param_prior, fam.value),
-                    )
-                    for fam in FAMILIES
-                ]
-            )
-
-        return _cached(self._evidence, (size, param_prior), build)
-
+    @_memo
     def criteria(self, size: int) -> tuple[np.ndarray, np.ndarray]:
         """(AIC, BIC) vectors over the candidate set for one dataset size."""
-
-        def build():
-            data = self.dataset(size)
-            pairs = [information_criteria(fam, data) for fam in FAMILIES]
-            return np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
-
-        return _cached(self._criteria, size, build)
+        data = self.dataset(size)
+        pairs = [information_criteria(fam, data) for fam in FAMILIES]
+        return np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
 
     def posterior_probs(self, size: int, param_prior: str, model_prior: str) -> ModelPosteriorProbs:
         if model_prior == "savvy":
@@ -259,36 +242,31 @@ class StudyPipeline:
         log_ev = self.log_evidences(size, param_prior)
         return model_posteriors(log_ev, model_prior_probs(model_prior))
 
+    @_memo
     def ensemble(self, size: int, param_prior: str, model_prior: str) -> DistributionEnsemble:
-        def build():
-            probs = self.posterior_probs(size, param_prior, model_prior)
-            chains = {
-                fam: self.chain(size, param_prior, fam)
-                for j, fam in enumerate(FAMILIES)
-                if probs.pi_hat[j] > 0.0
-            }
-            return draw_ensemble(
-                chains,
-                probs,
-                self.config.n_d,
-                rng_for(self.config.seed, "ensemble", size, param_prior, model_prior),
-            )
+        probs = self.posterior_probs(size, param_prior, model_prior)
+        chains = {
+            fam: self.chain(size, param_prior, fam)
+            for j, fam in enumerate(FAMILIES)
+            if probs.pi_hat[j] > 0.0
+        }
+        return draw_ensemble(
+            chains,
+            probs,
+            self.config.n_d,
+            rng_for(self.config.seed, "ensemble", size, param_prior, model_prior),
+        )
 
-        return _cached(self._ensembles, (size, param_prior, model_prior), build)
-
+    @_memo
     def true_output_stats(self) -> tuple[float, float, float]:
         """(mean psi, var psi, pf) of the true generator, by quadrature and
         root finding rather than sampling."""
-
-        def build():
-            spec = buckling.TRUE_MODEL
-            m, v = buckling.response_moments(spec.family, spec.theta, self.config.plate)
-            pf = buckling.pf_semianalytic(
-                spec.family, spec.theta, self.config.failure_threshold, self.config.plate
-            )
-            return m, v, pf
-
-        return _cached(self._truth, "stats", build)
+        spec = buckling.TRUE_MODEL
+        m, v = buckling.response_moments(spec.family, spec.theta, self.config.plate)
+        pf = buckling.pf_semianalytic(
+            spec.family, spec.theta, self.config.failure_threshold, self.config.plate
+        )
+        return m, v, pf
 
     # -- stages ---------------------------------------------------------------
 
@@ -318,8 +296,7 @@ class StudyPipeline:
         the yield-strength grid and density-distance metrics for every cell."""
         t0 = time.perf_counter()
         self._write_historical_inputs()
-        if self.config.emit_psi_table:
-            self._write_psi_table()
+        self._write_psi_table()
         return self._run_panels("quantify", t0)
 
     def run_propagate(self) -> RunReport:
@@ -379,7 +356,7 @@ class StudyPipeline:
             for name in self.config.parameter_priors
             if name != NONINFORMATIVE
             for fam in FAMILIES
-            if (name, fam) not in self._priors
+            if ("parameter_prior", name, fam) not in self._built
         ]
         for (name, fam), (outcome, _) in zip(units, self._map_units("parameter_prior", units)):
             if isinstance(outcome, Exception):
@@ -404,9 +381,9 @@ class StudyPipeline:
 
         With P processes, P-1 forked workers each get a unit only when idle
         and the caller runs the next pending unit between top-ups; the
-        caches a worker filled are merged into this pipeline.  A worker
-        that dies breaks the pool: every unit in flight comes back as the
-        BrokenProcessPool error and the caller runs the rest.
+        store entries a worker added are merged into this pipeline's.  A
+        worker that dies breaks the pool: every unit in flight comes back as
+        the BrokenProcessPool error and the caller runs the rest.
         """
         processes = self._process_count(len(units))
         run = getattr(self, method)
@@ -420,7 +397,7 @@ class StudyPipeline:
         pending = deque(range(len(units)))
         running: dict = {}  # future -> unit index
         broken = False
-        # fork, not spawn: workers inherit this pipeline, its caches and any
+        # fork, not spawn: workers inherit this pipeline, its store and any
         # monkeypatching without pickling.  The pool forks all its workers at
         # the first submit, before it starts its own thread, and this
         # process runs no other Python thread.
@@ -451,8 +428,7 @@ class StudyPipeline:
                         broken |= isinstance(exc, BrokenProcessPool)
                         out[i] = (exc, "worker")
                         continue
-                    for name, entries in built.items():
-                        getattr(self, name).update(entries)
+                    self._built.update(built)
                     out[i] = (result, "worker")
         return out
 
@@ -481,7 +457,7 @@ class StudyPipeline:
         delta = metrics.avg_mean_square_distance(ens, (spec.family, spec.theta), grid)
         rows = [(size, pp, mp, "avg_mean_square_distance", "sigma0_density", delta)]
         write_table(cell_dir / "metrics_density.csv", METRICS_HEADER, rows)
-        return CellRecord(size, pp, mp, ok=True, posterior=probs, metric_rows=rows)
+        return CellRecord(size, pp, mp, ok=True, metric_rows=rows)
 
     def _propagate_cell(self, size: int, pp: str, mp: str) -> CellRecord:
         ens = self.ensemble(size, pp, mp)
@@ -495,7 +471,7 @@ class StudyPipeline:
         )
         w_min = float(np.min(result.mean_weights))
         w_max = float(np.max(result.mean_weights))
-        self._propagation_stats[f"{size}/{pp}/{mp}"] = {
+        self._built["manifest", "propagation", f"{size}/{pp}/{mp}"] = {
             "seconds": time.perf_counter() - t0,
             "mean_weight_min": w_min,
             "mean_weight_max": w_max,
@@ -579,10 +555,14 @@ class StudyPipeline:
     ) -> None:
         """Run manifest: grid status, total time, the processes used and each
         panel's seconds and process, and the informative priors, posterior
-        chains and propagate cells this pipeline has built so far (cached
-        ones from an earlier stage included)."""
+        chains and propagate cells this pipeline has built so far (those
+        of an earlier stage included)."""
         path = self.config.out_root / f"manifest_{report.stage}.json"
         path.parent.mkdir(parents=True, exist_ok=True)
+        records = {"informative_priors": {}, "chains": {}, "propagation": {}}
+        for key, values in self._built.items():
+            if key[0] == "manifest":
+                records[key[1]][key[2]] = values
         payload = {
             "config_hash": self.config.config_hash(),
             "seed": self.config.seed,
@@ -594,8 +574,6 @@ class StudyPipeline:
             "timings": {"total_seconds": elapsed},
             "workers": processes,
             "panels": panels,
-            "informative_priors": dict(self._prior_stats),
-            "chains": dict(self._chain_stats),
-            "propagation": dict(self._propagation_stats),
+            **records,
         }
         path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

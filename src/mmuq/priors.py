@@ -206,8 +206,6 @@ def kde_bandwidths(samples: np.ndarray) -> np.ndarray:
     return (4.0 / (k + 2.0)) ** (1.0 / (k + 4.0)) * n ** (-1.0 / (k + 4.0)) * sigma
 
 
-_PRE_PRIOR_CFG = EnsembleConfig(n_walkers=32, n_steps=1500, burn_in=500)
-
 # Kernel count cap for priors consumed by downstream MCMC; density cost per
 # posterior evaluation is linear in the component count.
 DEFAULT_KDE_COMPONENTS = 5000
@@ -216,8 +214,7 @@ DEFAULT_KDE_COMPONENTS = 5000
 def build_informative_prior(
     family: ModelFamily,
     historical: Dataset,
-    pre_prior: UniformBoxPrior | None = None,
-    cfg: EnsembleConfig | None = None,
+    cfg: EnsembleConfig,
     rng: np.random.Generator | None = None,
     max_components: int | None = DEFAULT_KDE_COMPONENTS,
 ) -> KdePrior:
@@ -231,11 +228,7 @@ def build_informative_prior(
         raise DegenerateDataError(
             f"historical dataset {historical.label!r} has zero variance"
         )
-    if pre_prior is None:
-        pre_prior = default_uniform_prior(family)
-    if cfg is None:
-        cfg = _PRE_PRIOR_CFG
-    chain = sample_posterior(family, historical, pre_prior, cfg, rng)
+    chain = sample_posterior(family, historical, default_uniform_prior(family), cfg, rng)
     support = chain.samples
     if max_components is not None and support.shape[0] > max_components:
         stride = int(np.ceil(support.shape[0] / max_components))

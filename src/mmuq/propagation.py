@@ -40,7 +40,6 @@ class DistributionEnsemble:
 
     family_codes: np.ndarray  # (n_d,) indices into FAMILIES
     thetas: np.ndarray  # (n_d, 2)
-    source: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         self.family_codes = np.asarray(self.family_codes, dtype=np.int64)
@@ -62,9 +61,7 @@ class DistributionEnsemble:
 
     def permuted(self, order: np.ndarray) -> "DistributionEnsemble":
         order = np.asarray(order)
-        return DistributionEnsemble(
-            self.family_codes[order], self.thetas[order], self.source
-        )
+        return DistributionEnsemble(self.family_codes[order], self.thetas[order])
 
 
 @dataclass
@@ -113,12 +110,7 @@ def draw_ensemble(
         sel = codes == j
         if np.any(sel):
             thetas[sel] = posteriors[fam].samples[rows[sel]]
-    source = tuple(
-        f"{fam.value}:chain[{posteriors[fam].samples.shape[0]}]"
-        for fam in FAMILIES
-        if fam in posteriors and np.any(codes == FAMILIES.index(fam))
-    )
-    return DistributionEnsemble(codes, thetas, source)
+    return DistributionEnsemble(codes, thetas)
 
 
 def _density_blocks(ens: DistributionEnsemble, x: np.ndarray):

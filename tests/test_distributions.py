@@ -109,6 +109,8 @@ class TestCdf:
             assert cdf(family, theta, -np.inf) == 0.0
             assert cdf(family, theta, np.inf) == 1.0
             np.testing.assert_array_equal(cdf(family, theta, [-np.inf, np.inf]), [0.0, 1.0])
+            assert np.isnan(cdf(family, theta, np.nan))
+            assert np.isnan(cdf(family, theta, [0.5, np.nan, 2.0])[1])
             if family not in (ModelFamily.NORMAL, ModelFamily.LOGISTIC):
                 np.testing.assert_array_equal(
                     cdf(family, theta, [-np.inf, -5.0, -1e-300, -0.0, 0.0]), 0.0
@@ -277,7 +279,7 @@ def masked_log_pdf_grid(family, thetas, x):
     p2 = thetas[:, 1][:, None]
     out = np.full((thetas.shape[0], x.size), -np.inf)
     positive = family not in (ModelFamily.NORMAL, ModelFamily.LOGISTIC)
-    inside = x > 0.0 if positive else np.isfinite(x)
+    inside = ~(x <= 0.0) if positive else ~np.isinf(x)
     xi = x[inside][None, :]
 
     def logistic_std(z):
@@ -317,7 +319,8 @@ class TestLogPdfGrid:
         for xs in (x, x[::3]):  # contiguous and strided points
             got = log_pdf_grid(family, thetas, xs)
             assert_same_bits(got, masked_log_pdf_grid(family, thetas, xs))
-            assert np.all(got[:, ~np.isfinite(xs) & (xs != np.inf)] == -np.inf)
+            assert np.all(got[:, xs == -np.inf] == -np.inf)
+            assert np.all(np.isnan(got[:, np.isnan(xs)]))
 
 
 class TestMomentMaps:

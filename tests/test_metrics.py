@@ -11,6 +11,7 @@ from mmuq.metrics import (
     CoarseGridError,
     EmpiricalCdf,
     _member_square_distance,
+    _trapezoid_weights,
     area_validation_metric,
     avg_mean_square_distance,
     confidence_range,
@@ -54,7 +55,7 @@ class TestAvgMeanSquareDistance:
         b = avg_mean_square_distance(normal_ensemble(mus + mus, 4.0), truth, grid)
         assert a == pytest.approx(b, rel=1e-12)
 
-    def test_member_square_distance_matches_per_member_trapezoid(self, rng):
+    def check_against_per_member_trapezoid(self, x, rng):
         # 20 members per family, shuffled, around the study point: more
         # members than one density block of the whole grid holds, so the
         # sum runs over several column blocks and a tail
@@ -63,17 +64,29 @@ class TestAvgMeanSquareDistance:
             [params_from_moments(FAMILIES[c], 34.782, 0.116) for c in codes]
         ) * rng.uniform(0.9, 1.1, size=(codes.size, 2))
         ens = DistributionEnsemble(codes, thetas)
-        grid = default_sigma0_grid()
-        assert ens.n_members > propagation._BLOCK_CELLS // grid.size
-        truth = pdf(
-            ModelFamily.LOGNORMAL,
-            params_from_moments(ModelFamily.LOGNORMAL, 34.782, 0.116),
-            grid,
-        )
-        want = sum(
-            np.trapezoid((pdf(fam, theta, grid) - truth) ** 2, grid) for fam, theta in ens
-        )
-        assert _member_square_distance(ens, truth, grid) == pytest.approx(want, rel=1e-12)
+        assert ens.n_members > propagation._BLOCK_CELLS // x.size
+        truth_theta = params_from_moments(ModelFamily.LOGNORMAL, 34.782, 0.116)
+        truth = pdf(ModelFamily.LOGNORMAL, truth_theta, x)
+        # two quadratures in one pass: over every point, and over every
+        # other point
+        sub = np.arange(0, x.size, 2)
+        weights = np.zeros((x.size, 2))
+        weights[:, 0] = _trapezoid_weights(x)
+        weights[sub, 1] = _trapezoid_weights(x[sub])
+        want = [
+            sum(np.trapezoid((pdf(fam, theta, x[s]) - truth[s]) ** 2, x[s]) for fam, theta in ens)
+            for s in (slice(None), sub)
+        ]
+        got = _member_square_distance(ens, truth, x, weights)
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+        delta = avg_mean_square_distance(ens, (ModelFamily.LOGNORMAL, truth_theta), x)
+        assert delta == pytest.approx(0.5 * want[0] / ens.n_members, rel=1e-12)
+
+    def test_member_square_distance_matches_per_member_trapezoid(self, rng):
+        self.check_against_per_member_trapezoid(default_sigma0_grid(), rng)
+
+    def test_member_square_distance_on_nonuniform_grid(self, rng):
+        self.check_against_per_member_trapezoid(np.sort(rng.uniform(15.0, 65.0, 2001)), rng)
 
     def test_coarse_grid_raises(self):
         # narrow densities on an 11-point grid over 50 ksi are unresolved

@@ -5,6 +5,7 @@ import hashlib
 import json
 import logging
 import os
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -327,6 +328,16 @@ def count_calls(monkeypatch, name: str, log: Path) -> None:
     monkeypatch.setattr(pipeline_module, name, counted)
 
 
+# The functions behind the pipeline's stored artifacts.
+BUILDERS = (
+    "sample_posterior",
+    "log_evidence_mc",
+    "information_criteria",
+    "draw_ensemble",
+    "build_informative_prior",
+)
+
+
 def tiny_grid(out: Path, workers: int, **overrides) -> ExperimentConfig:
     fields = dict(
         name="tiny",
@@ -352,8 +363,8 @@ def tiny_grid(out: Path, workers: int, **overrides) -> ExperimentConfig:
 @pytest.fixture(scope="module")
 def serial_and_forked(tmp_path_factory):
     """The same 2-size x {noninformative, ABS-B} grid quantified and
-    propagated on 1 process and on 2, counting the posterior chains drawn
-    in each stage."""
+    propagated on 1 process and on 2, counting in each stage the calls of
+    every builder behind a stored artifact."""
     runs = {}
     for workers in (1, 2):
         out = tmp_path_factory.mktemp(f"workers{workers}")
@@ -361,11 +372,12 @@ def serial_and_forked(tmp_path_factory):
         cfg = tiny_grid(out / "study", workers)
         counts = {}
         with pytest.MonkeyPatch.context() as mp:
-            count_calls(mp, "sample_posterior", log)
+            for name in BUILDERS:
+                count_calls(mp, name, log)
             pipeline = StudyPipeline(cfg)
             for stage in ("quantify", "propagate"):
                 assert getattr(pipeline, f"run_{stage}")().all_ok
-                counts[stage] = len(log.read_text().splitlines()) if log.exists() else 0
+                counts[stage] = Counter(log.read_text().splitlines() if log.exists() else [])
                 log.unlink(missing_ok=True)
         manifests = {
             stage: json.loads((cfg.out_root / f"manifest_{stage}.json").read_text())
@@ -398,9 +410,14 @@ class TestWorkerProcesses:
         assert len(log.read_text().splitlines()) == len(FAMILIES)
 
     def test_propagate_reuses_chains_from_workers(self, serial_and_forked):
-        cfg, _, _, counts = serial_and_forked[2]
-        panels = len(cfg.dataset_sizes) * len(cfg.parameter_priors)
-        assert counts == {"quantify": panels * len(FAMILIES), "propagate": 0}
+        # After a forked quantify, every artifact a worker built is merged
+        # back, so propagate builds none again.
+        for workers in (1, 2):
+            cfg, _, _, counts = serial_and_forked[workers]
+            panels = len(cfg.dataset_sizes) * len(cfg.parameter_priors)
+            assert counts["quantify"]["sample_posterior"] == panels * len(FAMILIES)
+            propagate = {name: counts["propagate"][name] for name in BUILDERS}
+            assert propagate == dict.fromkeys(BUILDERS, 0)
 
     def test_manifest_records_processes_and_panels(self, serial_and_forked):
         for workers in (1, 2):
