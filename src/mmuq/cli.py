@@ -10,16 +10,14 @@ some cells failed (see the log and the run manifest).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import sys
 
 from .config import ExperimentConfig, load_config
-from .io import read_dataset_csv
 from .pipeline import StudyPipeline
 
-__all__ = ["main", "ingest_dataset"]
-
-ingest_dataset = read_dataset_csv
+__all__ = ["main"]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -57,7 +55,7 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         overrides["output_dir"] = args.out
     if args.workers is not None:
         overrides["workers"] = args.workers
-    return cfg.with_overrides(**overrides) if overrides else cfg
+    return dataclasses.replace(cfg, **overrides) if overrides else cfg
 
 
 def main(argv: list[str] | None = None) -> int:

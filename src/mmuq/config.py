@@ -12,6 +12,7 @@ import numpy as np
 from .buckling import FAILURE_THRESHOLD, MEAN_PLATE, PlateConfig
 from .distributions import FAMILIES, ModelFamily
 from .evidence import ModelPriorProbs
+from .mcmc import EnsembleConfig
 from .priors import HISTORICAL_SOURCES
 
 __all__ = [
@@ -93,6 +94,26 @@ class ExperimentConfig:
         for count_name in ("n_k", "n_d", "n_propagation", "workers"):
             if getattr(self, count_name) < 1:
                 raise ValueError(f"{count_name} must be >= 1")
+        if self.kde_max_components < 2:
+            raise ValueError("kde_max_components must be >= 2")
+        # build both sampler configs so bad walker or burn-in settings fail
+        # here rather than in every grid cell
+        for stage in ("chain", "pre_prior"):
+            try:
+                getattr(self, f"{stage}_config")
+            except ValueError as err:
+                raise ValueError(f"{stage} sampler settings: {err}") from None
+
+    @property
+    def chain_config(self) -> EnsembleConfig:
+        """Ensemble settings for the posterior chain of every grid cell."""
+        return EnsembleConfig(self.chain_walkers, self.chain_steps, self.chain_burn_in)
+
+    @property
+    def pre_prior_config(self) -> EnsembleConfig:
+        """Ensemble settings for the historical-data chain behind each
+        informative prior."""
+        return EnsembleConfig(self.chain_walkers, self.pre_prior_steps, self.pre_prior_burn_in)
 
     @property
     def out_root(self) -> Path:
@@ -119,9 +140,6 @@ class ExperimentConfig:
         blob = json.dumps(self.to_dict(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
 
-    def with_overrides(self, **kwargs) -> "ExperimentConfig":
-        return replace(self, **kwargs)
-
 
 def load_config(path: str | Path) -> ExperimentConfig:
     """Read an ExperimentConfig from JSON; unknown keys are rejected."""
@@ -135,5 +153,5 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ValueError(f"{path}: unknown config keys {sorted(unknown)}")
     cfg = ExperimentConfig(**raw)
     if plate is not None:
-        cfg = cfg.with_overrides(plate=PlateConfig(**plate))
+        cfg = replace(cfg, plate=PlateConfig(**plate))
     return cfg

@@ -171,9 +171,6 @@ class Dataset:
     def sum_inv(self) -> float:
         return float(np.sum(1.0 / self.values))
 
-    def concat(self, other: "Dataset", label: str = "") -> "Dataset":
-        return Dataset(np.concatenate([self.values, other.values]), label=label)
-
 
 # ---------------------------------------------------------------------------
 # parameter validation

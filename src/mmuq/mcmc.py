@@ -19,6 +19,7 @@ from .distributions import Dataset, ModelFamily, log_likelihood_batch
 __all__ = [
     "EnsembleConfig",
     "PosteriorChain",
+    "STRETCH_A",
     "InitializationError",
     "DegenerateChainError",
     "draw_stretch_factors",
@@ -30,6 +31,9 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 _INIT_RETRIES = 100
+
+# Stretch-factor range [1/a, a]: the value Goodman & Weare (2010) recommend.
+STRETCH_A = 2.0
 
 
 class InitializationError(RuntimeError):
@@ -44,24 +48,19 @@ class DegenerateChainError(RuntimeError):
 class EnsembleConfig:
     """Tuning for one ensemble run.
 
-    ``stretch_a`` controls the stretch-factor range [1/a, a]; larger values
-    propose bolder moves.  Walkers must number at least twice the parameter
-    dimension and be even so the ensemble splits into two halves.
+    Walkers must number at least twice the parameter dimension and be even
+    so the ensemble splits into two halves.
     """
 
     n_walkers: int = 32
     n_steps: int = 2000
     burn_in: int = 500
-    stretch_a: float = 2.0
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.n_walkers < 4 or self.n_walkers % 2:
             raise ValueError("n_walkers must be even and >= 4")
         if not 0 < self.burn_in < self.n_steps:
             raise ValueError("need 0 < burn_in < n_steps")
-        if self.stretch_a <= 1.0:
-            raise ValueError("stretch_a must exceed 1")
 
 
 @dataclass
@@ -77,26 +76,24 @@ class PosteriorChain:
             raise ValueError("chain must hold at least one sample row")
 
 
-def draw_stretch_factors(rng: np.random.Generator, a: float, size: int) -> np.ndarray:
+def draw_stretch_factors(rng: np.random.Generator, size: int) -> np.ndarray:
     """Stretch factors z with density proportional to 1/sqrt(z) on [1/a, a],
-    drawn by inverse CDF: z = ((a - 1) u + 1)^2 / a."""
+    a = ``STRETCH_A``, drawn by inverse CDF: z = ((a - 1) u + 1)^2 / a."""
     u = rng.random(size)
-    return ((a - 1.0) * u + 1.0) ** 2 / a
+    return ((STRETCH_A - 1.0) * u + 1.0) ** 2 / STRETCH_A
 
 
 def run_ensemble_sampler(
     log_prob: Callable[[np.ndarray], np.ndarray],
     initial: np.ndarray,
     cfg: EnsembleConfig,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> tuple[np.ndarray, float]:
     """Advance the walker ensemble ``cfg.n_steps`` times.
 
     ``log_prob`` maps a (m, ndim) batch to (m,) log densities (-inf allowed).
     Returns the full chain (n_steps, n_walkers, ndim) and the acceptance rate.
     """
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
     walkers = np.array(initial, dtype=float)
     n_walkers, ndim = walkers.shape
     if n_walkers != cfg.n_walkers:
@@ -117,7 +114,7 @@ def run_ensemble_sampler(
             idx = groups[active]
             comp = groups[other]
             partners = comp[rng.integers(0, half, size=half)]
-            z = draw_stretch_factors(rng, cfg.stretch_a, half)
+            z = draw_stretch_factors(rng, half)
             proposal = walkers[partners] + z[:, None] * (walkers[idx] - walkers[partners])
             logp_prop = log_prob(proposal)
             log_accept = (ndim - 1.0) * np.log(z) + logp_prop - logp[idx]
@@ -135,7 +132,7 @@ def sample_posterior(
     data: Dataset,
     prior,
     cfg: EnsembleConfig,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> PosteriorChain:
     """Sample p(theta | data, family) proportional to likelihood times prior.
 
@@ -144,8 +141,6 @@ def sample_posterior(
     are incompatible and :class:`DegenerateChainError` if nothing is ever
     accepted.
     """
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
 
     def log_post(thetas: np.ndarray) -> np.ndarray:
         lp = prior.log_density_batch(thetas)

@@ -41,7 +41,7 @@ from .evidence import (
     savvy_priors,
 )
 from .io import write_dataset_csv, write_table
-from .mcmc import EnsembleConfig, PosteriorChain, sample_posterior
+from .mcmc import PosteriorChain, sample_posterior
 from .priors import (
     HISTORICAL_SOURCES,
     build_informative_prior,
@@ -165,15 +165,10 @@ class StudyPipeline:
     def parameter_prior(self, name: str, family: ModelFamily):
         if name == NONINFORMATIVE:
             return default_uniform_prior(family)
-        cfg = EnsembleConfig(
-            n_walkers=self.config.chain_walkers,
-            n_steps=self.config.pre_prior_steps,
-            burn_in=self.config.pre_prior_burn_in,
-        )
         prior = build_informative_prior(
             family,
             historical_dataset(name),
-            cfg=cfg,
+            cfg=self.config.pre_prior_config,
             rng=rng_for(self.config.seed, "pre-prior", name, family.value),
             max_components=self.config.kde_max_components,
         )
@@ -186,11 +181,6 @@ class StudyPipeline:
 
     @_memo
     def chain(self, size: int, param_prior: str, family: ModelFamily) -> PosteriorChain:
-        cfg = EnsembleConfig(
-            n_walkers=self.config.chain_walkers,
-            n_steps=self.config.chain_steps,
-            burn_in=self.config.chain_burn_in,
-        )
         data = self.dataset(size)
         prior = self.parameter_prior(param_prior, family)
         t0 = time.perf_counter()
@@ -198,7 +188,7 @@ class StudyPipeline:
             family,
             data,
             prior,
-            cfg,
+            self.config.chain_config,
             rng_for(self.config.seed, "chain", size, param_prior, family.value),
         )
         self._built["manifest", "chains", f"{size}/{param_prior}/{family.value}"] = {

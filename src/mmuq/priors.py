@@ -28,7 +28,6 @@ from .seeding import rng_for
 __all__ = [
     "UniformBoxPrior",
     "KdePrior",
-    "ParameterPrior",
     "DegenerateDataError",
     "ENVELOPE_MEAN",
     "ENVELOPE_COV",
@@ -80,12 +79,6 @@ class UniformBoxPrior:
         inside = np.all((thetas >= self.lo) & (thetas <= self.hi), axis=1)
         return np.where(inside, -self.log_volume, -np.inf)
 
-    def log_density(self, theta) -> float:
-        return float(self.log_density_batch(np.asarray(theta)[None, :])[0])
-
-    def density(self, theta) -> float:
-        return float(np.exp(self.log_density(theta)))
-
     def sample(self, rng: np.random.Generator, count: int = 1) -> np.ndarray:
         if count < 1:
             raise ValueError("count must be >= 1")
@@ -132,26 +125,25 @@ class KdePrior:
     def n_components(self) -> int:
         return int(self.support_samples.shape[0])
 
-    def log_density_batch(self, thetas: np.ndarray, chunk: int | None = None) -> np.ndarray:
+    def log_density_batch(self, thetas: np.ndarray) -> np.ndarray:
         """Log density at each row of ``thetas`` (shape (rows, 2)).
 
         An exact log-sum-exp over all kernels, shifted by each row's peak
         exponent so a point far from every kernel stays finite.  Cost is
-        O(rows x kernels) ``exp`` calls.  Rows go through in blocks of
-        ``chunk`` (by default as many as fit ``_BLOCK_CELLS`` cells, at
-        least one), so memory is bounded by one (chunk x kernels) float64
-        block plus one temporary of the same size, whatever the row count.
+        O(rows x kernels) ``exp`` calls.  Rows go through in blocks of as
+        many as fit ``_BLOCK_CELLS`` cells (at least one), so memory is
+        bounded by one (block x kernels) float64 block plus one temporary of
+        the same size, whatever the row count.
         """
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
         if thetas.ndim != 2 or thetas.shape[1] != PARAM_DIM:
             raise ValueError("thetas must have shape (rows, 2)")
         s0, s1 = self._scaled_support
         t0, t1 = (thetas / self.bandwidths).T
-        if chunk is None:
-            chunk = max(1, _BLOCK_CELLS // s0.size)
+        block = max(1, _BLOCK_CELLS // s0.size)
         out = np.empty(thetas.shape[0])
-        for start in range(0, thetas.shape[0], chunk):
-            stop = min(start + chunk, thetas.shape[0])
+        for start in range(0, thetas.shape[0], block):
+            stop = min(start + block, thetas.shape[0])
             expo = t0[start:stop, None] - s0
             expo *= expo
             dz = t1[start:stop, None] - s1
@@ -164,21 +156,12 @@ class KdePrior:
             out[start:stop] = peak + np.log(np.sum(expo, axis=1))
         return out - self._log_norm
 
-    def log_density(self, theta) -> float:
-        return float(self.log_density_batch(np.asarray(theta)[None, :])[0])
-
-    def density(self, theta) -> float:
-        return float(np.exp(self.log_density(theta)))
-
     def sample(self, rng: np.random.Generator, count: int = 1) -> np.ndarray:
         if count < 1:
             raise ValueError("count must be >= 1")
         idx = rng.integers(0, self.n_components, size=count)
         noise = rng.standard_normal((count, PARAM_DIM)) * self.bandwidths
         return self.support_samples[idx] + noise
-
-
-ParameterPrior = UniformBoxPrior | KdePrior
 
 
 def default_uniform_prior(family: ModelFamily) -> UniformBoxPrior:
@@ -206,31 +189,29 @@ def kde_bandwidths(samples: np.ndarray) -> np.ndarray:
     return (4.0 / (k + 2.0)) ** (1.0 / (k + 4.0)) * n ** (-1.0 / (k + 4.0)) * sigma
 
 
-# Kernel count cap for priors consumed by downstream MCMC; density cost per
-# posterior evaluation is linear in the component count.
-DEFAULT_KDE_COMPONENTS = 5000
-
-
 def build_informative_prior(
     family: ModelFamily,
     historical: Dataset,
     cfg: EnsembleConfig,
-    rng: np.random.Generator | None = None,
-    max_components: int | None = DEFAULT_KDE_COMPONENTS,
+    rng: np.random.Generator,
+    max_components: int,
 ) -> KdePrior:
     """Data-driven prior: flat pre-prior -> posterior on historical data ->
     KDE of the posterior chain with AMISE bandwidths.
 
-    ``max_components`` caps the kernel count by deterministic striding of
-    the chain (None keeps every post burn-in sample).
+    ``max_components`` (at least 2) caps the kernel count by deterministic
+    striding of the chain; density cost per posterior evaluation is linear
+    in the kernel count.
     """
+    if max_components < 2:
+        raise ValueError(f"max_components must be >= 2, got {max_components}")
     if np.std(historical.values) == 0.0:
         raise DegenerateDataError(
             f"historical dataset {historical.label!r} has zero variance"
         )
     chain = sample_posterior(family, historical, default_uniform_prior(family), cfg, rng)
     support = chain.samples
-    if max_components is not None and support.shape[0] > max_components:
+    if support.shape[0] > max_components:
         stride = int(np.ceil(support.shape[0] / max_components))
         support = support[::stride]
     return KdePrior(support_samples=support, bandwidths=kde_bandwidths(support))
@@ -261,7 +242,7 @@ HISTORICAL_SOURCES: dict[str, HistoricalSource] = {
 HISTORICAL_SEED = 1948
 
 
-def historical_dataset(name: str, seed: int = HISTORICAL_SEED) -> Dataset:
+def historical_dataset(name: str) -> Dataset:
     """Regenerate the named historical yield-strength dataset.
 
     Draws from the published distribution shape, then standardizes the
@@ -278,7 +259,8 @@ def historical_dataset(name: str, seed: int = HISTORICAL_SEED) -> Dataset:
             f"choose from {sorted(HISTORICAL_SOURCES)}"
         ) from None
     theta = params_from_moments(src.family, src.mean, src.cov)
-    values = dist_sample(src.family, theta, rng_for(seed, "historical", name), src.n_tests)
+    rng = rng_for(HISTORICAL_SEED, "historical", name)
+    values = dist_sample(src.family, theta, rng, src.n_tests)
     values = src.mean + (values - values.mean()) * (
         src.mean * src.cov / values.std(ddof=1)
     )

@@ -59,10 +59,6 @@ class DistributionEnsemble:
     def __iter__(self):
         return (self.member(i) for i in range(self.n_members))
 
-    def permuted(self, order: np.ndarray) -> "DistributionEnsemble":
-        order = np.asarray(order)
-        return DistributionEnsemble(self.family_codes[order], self.thetas[order])
-
 
 @dataclass
 class PropagationResult:
@@ -78,7 +74,6 @@ class PropagationResult:
     variances: np.ndarray
     pfs: np.ndarray
     mean_weights: np.ndarray
-    failure_threshold: float
 
 
 def draw_ensemble(
@@ -216,5 +211,4 @@ def propagate(
         variances=sums[:, 2] - means**2,
         pfs=sums[:, 3],
         mean_weights=sums[:, 0],
-        failure_threshold=failure_threshold,
     )

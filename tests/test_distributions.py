@@ -191,7 +191,7 @@ class TestLogLikelihood:
         theta = STUDY_THETAS[family]
         d1 = Dataset(sample(family, theta, rng, 40))
         d2 = Dataset(sample(family, theta, rng, 25))
-        lhs = log_likelihood(family, theta, d1.concat(d2))
+        lhs = log_likelihood(family, theta, Dataset(np.concatenate([d1.values, d2.values])))
         rhs = log_likelihood(family, theta, d1) + log_likelihood(family, theta, d2)
         assert lhs == pytest.approx(rhs, rel=1e-12)
 

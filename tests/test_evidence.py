@@ -73,7 +73,7 @@ class TestLogEvidenceMc:
 
     def test_duplicated_dataset_lowers_evidence(self, rng):
         data, prior, sigma = self.make_case(rng)
-        doubled = data.concat(data)
+        doubled = Dataset(np.tile(data.values, 2))
         ev1 = log_evidence_mc(ModelFamily.NORMAL, data, prior, 20_000, np.random.default_rng(1))
         ev2 = log_evidence_mc(ModelFamily.NORMAL, doubled, prior, 20_000, np.random.default_rng(2))
         assert ev2 < ev1
@@ -177,7 +177,7 @@ class TestInformationCriteria:
 
     def test_doubling_data_adds_k_ln2_to_bic_penalty(self, rng):
         data = Dataset(rng.normal(30.0, 3.0, 12))
-        doubled = data.concat(data)
+        doubled = Dataset(np.tile(data.values, 2))
         _, ll1 = max_log_likelihood(ModelFamily.NORMAL, data)
         _, ll2 = max_log_likelihood(ModelFamily.NORMAL, doubled)
         pen1 = information_criteria(ModelFamily.NORMAL, data)[1] + 2.0 * ll1

@@ -11,6 +11,7 @@ from mmuq.mcmc import (
     EnsembleConfig,
     InitializationError,
     PosteriorChain,
+    STRETCH_A,
     draw_stretch_factors,
     effective_sample_size,
     run_ensemble_sampler,
@@ -41,14 +42,14 @@ def gaussian_log_prob(mean, cov):
 
 class TestStretchFactors:
     def test_support(self):
-        z = draw_stretch_factors(np.random.default_rng(0), 2.0, 10_000)
-        assert z.min() >= 0.5 and z.max() <= 2.0
+        z = draw_stretch_factors(np.random.default_rng(0), 10_000)
+        assert z.min() >= 1.0 / STRETCH_A and z.max() <= STRETCH_A
 
     def test_density_chi_square(self):
         # g(z) ~ 1/sqrt(z) on [1/a, a]; bin masses follow from the exact CDF
-        a = 2.0
+        a = STRETCH_A
         n = 200_000
-        z = draw_stretch_factors(np.random.default_rng(1), a, n)
+        z = draw_stretch_factors(np.random.default_rng(1), n)
         edges = np.linspace(1.0 / a, a, 41)
         observed, _ = np.histogram(z, bins=edges)
         norm_const = np.sqrt(a) - np.sqrt(1.0 / a)
@@ -68,7 +69,7 @@ class TestGaussianTargets:
         return chain[cfg.burn_in :].reshape(-1, 2), rate
 
     def test_mean_and_covariance_within_3se(self):
-        cfg = EnsembleConfig(n_walkers=32, n_steps=4000, burn_in=1000, seed=3)
+        cfg = EnsembleConfig(n_walkers=32, n_steps=4000, burn_in=1000)
         flat, rate = self.run_chain(gaussian_log_prob(self.MEAN, self.COV), cfg)
         assert 0.05 < rate < 0.95
         per_walker = flat.reshape(-1, cfg.n_walkers, 2)
@@ -88,7 +89,7 @@ class TestGaussianTargets:
         # chain on the mapped target vs mapped chain on the base target
         A = np.array([[3.0, 0.7], [-0.4, 1.6]])
         b = np.array([10.0, -5.0])
-        cfg = EnsembleConfig(n_walkers=32, n_steps=4000, burn_in=1000, seed=5)
+        cfg = EnsembleConfig(n_walkers=32, n_steps=4000, burn_in=1000)
         mapped_mean = A @ self.MEAN + b
         mapped_cov = A @ self.COV @ A.T
 
@@ -144,7 +145,8 @@ class TestGaussianTargets:
                 ModelFamily.NORMAL,
                 Dataset([0.5]),
                 AtomPrior(),
-                EnsembleConfig(n_walkers=8, n_steps=50, burn_in=10, seed=2),
+                EnsembleConfig(n_walkers=8, n_steps=50, burn_in=10),
+                np.random.default_rng(2),
             )
 
 
@@ -159,8 +161,8 @@ class TestSamplePosterior:
 
     def test_posterior_mean_matches_conjugate_solution(self, rng):
         data, prior, sigma = self.conjugate_setup(rng)
-        cfg = EnsembleConfig(n_walkers=32, n_steps=2500, burn_in=600, seed=9)
-        chain = sample_posterior(ModelFamily.NORMAL, data, prior, cfg)
+        cfg = EnsembleConfig(n_walkers=32, n_steps=2500, burn_in=600)
+        chain = sample_posterior(ModelFamily.NORMAL, data, prior, cfg, np.random.default_rng(9))
         assert 0.05 < chain.acceptance_rate < 0.95
         ess = chain_ess(chain, cfg, dim=0)
         xbar = data.values.mean()
@@ -170,16 +172,16 @@ class TestSamplePosterior:
     def test_narrow_prior_confines_samples(self, rng):
         data = Dataset(rng.normal(10.0, 2.0, 10))
         prior = UniformBoxPrior(lo=np.array([10.0, 2.0]), hi=np.array([10.001, 2.001]))
-        cfg = EnsembleConfig(n_walkers=16, n_steps=300, burn_in=50, seed=4)
-        chain = sample_posterior(ModelFamily.NORMAL, data, prior, cfg)
+        cfg = EnsembleConfig(n_walkers=16, n_steps=300, burn_in=50)
+        chain = sample_posterior(ModelFamily.NORMAL, data, prior, cfg, np.random.default_rng(4))
         assert np.all(chain.samples[:, 0] >= 10.0) and np.all(chain.samples[:, 0] <= 10.001)
         assert np.all(chain.samples[:, 1] >= 2.0) and np.all(chain.samples[:, 1] <= 2.001)
 
     def test_deterministic_given_seed(self, rng):
         data, prior, _ = self.conjugate_setup(rng, n=10)
-        cfg = EnsembleConfig(n_walkers=16, n_steps=200, burn_in=50, seed=12)
-        a = sample_posterior(ModelFamily.NORMAL, data, prior, cfg)
-        b = sample_posterior(ModelFamily.NORMAL, data, prior, cfg)
+        cfg = EnsembleConfig(n_walkers=16, n_steps=200, burn_in=50)
+        a = sample_posterior(ModelFamily.NORMAL, data, prior, cfg, np.random.default_rng(12))
+        b = sample_posterior(ModelFamily.NORMAL, data, prior, cfg, np.random.default_rng(12))
         np.testing.assert_array_equal(a.samples, b.samples)
         assert a.acceptance_rate == b.acceptance_rate
 
@@ -187,9 +189,9 @@ class TestSamplePosterior:
         # negative observation kills every lognormal likelihood
         data = Dataset([3.0, -1.0])
         prior = UniformBoxPrior(lo=np.array([0.0, 0.1]), hi=np.array([5.0, 2.0]))
-        cfg = EnsembleConfig(n_walkers=8, n_steps=100, burn_in=10, seed=1)
+        cfg = EnsembleConfig(n_walkers=8, n_steps=100, burn_in=10)
         with pytest.raises(InitializationError, match="Lognormal"):
-            sample_posterior(ModelFamily.LOGNORMAL, data, prior, cfg)
+            sample_posterior(ModelFamily.LOGNORMAL, data, prior, cfg, np.random.default_rng(1))
 
 
 class TestConfigValidation:
@@ -200,10 +202,6 @@ class TestConfigValidation:
     def test_rejects_bad_burn_in(self):
         with pytest.raises(ValueError):
             EnsembleConfig(n_steps=100, burn_in=100)
-
-    def test_rejects_small_stretch(self):
-        with pytest.raises(ValueError):
-            EnsembleConfig(stretch_a=1.0)
 
 
 def test_effective_sample_size_iid_series(rng):

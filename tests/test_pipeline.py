@@ -13,11 +13,12 @@ import pytest
 from scipy.stats import spearmanr
 
 from mmuq import pipeline as pipeline_module
-from mmuq.cli import ingest_dataset, main
+from mmuq.cli import main
 from mmuq.config import ExperimentConfig, load_config, model_prior_probs
 from mmuq.distributions import FAMILIES
 from mmuq.evidence import aic_weights, information_criteria
-from mmuq.io import DatasetFormatError, write_dataset_csv
+from mmuq.io import DatasetFormatError, read_dataset_csv, write_dataset_csv
+from mmuq.mcmc import EnsembleConfig
 from mmuq.pipeline import StudyPipeline
 from mmuq.propagation import propagate
 
@@ -59,14 +60,14 @@ class TestIngestDataset:
 
         original = Dataset(rng.normal(34.0, 4.0, 17), label="rt")
         path = write_dataset_csv(tmp_path / "rt.csv", original)
-        back = ingest_dataset(path)
+        back = read_dataset_csv(path)
         np.testing.assert_array_equal(back.values, original.values)
         assert back.n == 17
 
     def test_small_file(self, tmp_path):
         path = tmp_path / "three.csv"
         path.write_text("yield_ksi\n31.5\n35\n38.25\n")
-        data = ingest_dataset(path)
+        data = read_dataset_csv(path)
         assert data.n == 3
         np.testing.assert_allclose(data.values, [31.5, 35.0, 38.25])
 
@@ -74,19 +75,19 @@ class TestIngestDataset:
         path = tmp_path / "bad.csv"
         path.write_text("yield_ksi\n31.5\noops\n38.25\n")
         with pytest.raises(DatasetFormatError, match=r":3"):
-            ingest_dataset(path)
+            read_dataset_csv(path)
 
     def test_empty_file_is_an_error(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
         with pytest.raises(DatasetFormatError, match="empty"):
-            ingest_dataset(path)
+            read_dataset_csv(path)
 
     def test_header_only_is_an_error(self, tmp_path):
         path = tmp_path / "header.csv"
         path.write_text("yield_ksi\n")
         with pytest.raises(DatasetFormatError, match="no data rows"):
-            ingest_dataset(path)
+            read_dataset_csv(path)
 
 
 class TestQuantifyOutputs:
@@ -131,7 +132,7 @@ class TestQuantifyOutputs:
     def test_historical_inputs_written(self, study):
         cfg, _, _, _ = study
         path = cfg.out_root / "data" / "historical" / "ABS-B.csv"
-        assert ingest_dataset(path).n == 79
+        assert read_dataset_csv(path).n == 79
 
     def test_osd_density_integrates_near_one(self, study):
         cfg, _, _, _ = study
@@ -364,13 +365,15 @@ def tiny_grid(out: Path, workers: int, **overrides) -> ExperimentConfig:
 def serial_and_forked(tmp_path_factory):
     """The same 2-size x {noninformative, ABS-B} grid quantified and
     propagated on 1 process and on 2, counting in each stage the calls of
-    every builder behind a stored artifact."""
+    every builder behind a stored artifact and recording the keys of the
+    pipeline's store after it."""
     runs = {}
     for workers in (1, 2):
         out = tmp_path_factory.mktemp(f"workers{workers}")
         log = out / "calls.log"
         cfg = tiny_grid(out / "study", workers)
         counts = {}
+        built = {}
         with pytest.MonkeyPatch.context() as mp:
             for name in BUILDERS:
                 count_calls(mp, name, log)
@@ -378,19 +381,20 @@ def serial_and_forked(tmp_path_factory):
             for stage in ("quantify", "propagate"):
                 assert getattr(pipeline, f"run_{stage}")().all_ok
                 counts[stage] = Counter(log.read_text().splitlines() if log.exists() else [])
+                built[stage] = set(pipeline._built)
                 log.unlink(missing_ok=True)
         manifests = {
             stage: json.loads((cfg.out_root / f"manifest_{stage}.json").read_text())
             for stage in ("quantify", "propagate")
         }
-        runs[workers] = (cfg, csv_digests(out / "study"), manifests, counts)
+        runs[workers] = (cfg, csv_digests(out / "study"), manifests, counts, built)
     return runs
 
 
 class TestWorkerProcesses:
     def test_outputs_byte_identical_across_worker_counts(self, serial_and_forked):
-        _, serial, serial_manifests, _ = serial_and_forked[1]
-        _, forked, forked_manifests, _ = serial_and_forked[2]
+        _, serial, serial_manifests, _, _ = serial_and_forked[1]
+        _, forked, forked_manifests, _, _ = serial_and_forked[2]
         assert len(serial) > 0 and serial == forked
         for stage in ("quantify", "propagate"):
             assert set(serial_manifests[stage]["chains"]) == set(forked_manifests[stage]["chains"])
@@ -413,15 +417,36 @@ class TestWorkerProcesses:
         # After a forked quantify, every artifact a worker built is merged
         # back, so propagate builds none again.
         for workers in (1, 2):
-            cfg, _, _, counts = serial_and_forked[workers]
+            cfg, _, _, counts, _ = serial_and_forked[workers]
             panels = len(cfg.dataset_sizes) * len(cfg.parameter_priors)
             assert counts["quantify"]["sample_posterior"] == panels * len(FAMILIES)
             propagate = {name: counts["propagate"][name] for name in BUILDERS}
             assert propagate == dict.fromkeys(BUILDERS, 0)
 
+    def test_store_keys_equal_across_worker_counts(self, serial_and_forked):
+        # Every artifact and manifest record a worker adds (evidences
+        # included, which propagate never asks for again) must reach the
+        # caller's store.
+        serial = serial_and_forked[1][4]
+        forked = serial_and_forked[2][4]
+        for stage in ("quantify", "propagate"):
+            assert serial[stage] and forked[stage] == serial[stage]
+
+    def test_worker_only_size_reaches_the_caller(self, tmp_path):
+        # With one parameter prior the worker runs the n=10 panel alone, so
+        # criteria(10) and the n=10 evidences exist in the caller only if
+        # the worker's store entries are merged back.
+        keys = {}
+        for workers in (1, 2):
+            cfg = tiny_grid(tmp_path / str(workers), workers, parameter_priors=("noninformative",))
+            pipeline = StudyPipeline(cfg)
+            assert pipeline.run_quantify().all_ok
+            keys[workers] = set(pipeline._built)
+        assert ("criteria", 10) in keys[2] and keys[2] == keys[1]
+
     def test_manifest_records_processes_and_panels(self, serial_and_forked):
         for workers in (1, 2):
-            cfg, _, manifests, _ = serial_and_forked[workers]
+            cfg, _, manifests, _, _ = serial_and_forked[workers]
             for manifest in manifests.values():
                 assert manifest["workers"] == workers
                 panels = manifest["panels"]
@@ -494,8 +519,8 @@ class TestCli:
     def test_gen_data_writes_datasets(self, tmp_path, capsys):
         config = self.write_config(tmp_path)
         assert main(["gen-data", "--config", str(config)]) == 0
-        assert ingest_dataset(tmp_path / "out" / "cli" / "data" / "synthetic" / "yield_n10.csv").n == 10
-        assert ingest_dataset(tmp_path / "out" / "cli" / "data" / "historical" / "ASTM-A7.csv").n == 58
+        assert read_dataset_csv(tmp_path / "out" / "cli" / "data" / "synthetic" / "yield_n10.csv").n == 10
+        assert read_dataset_csv(tmp_path / "out" / "cli" / "data" / "historical" / "ASTM-A7.csv").n == 58
 
     def test_flag_overrides(self, tmp_path):
         config = self.write_config(tmp_path)
@@ -535,6 +560,40 @@ class TestConfig:
             ExperimentConfig(model_priors=())
         with pytest.raises(ValueError):
             ExperimentConfig(dataset_sizes=())
+
+    @pytest.mark.parametrize(
+        "bad, match",
+        [
+            ({"kde_max_components": 1}, "kde_max_components"),
+            ({"kde_max_components": 0}, "kde_max_components"),
+            ({"kde_max_components": -1}, "kde_max_components"),
+            ({"kde_max_components": -2}, "kde_max_components"),
+            ({"chain_walkers": 7}, "chain sampler"),
+            ({"chain_walkers": 2}, "chain sampler"),
+            ({"chain_burn_in": 0}, "chain sampler"),
+            ({"chain_steps": 500}, "chain sampler"),
+            ({"pre_prior_burn_in": 1500}, "pre_prior sampler"),
+        ],
+    )
+    def test_bad_sampler_settings_rejected_at_construction(self, bad, match, tmp_path):
+        # these used to be accepted and then fail every grid cell at run time
+        with pytest.raises(ValueError, match=match):
+            ExperimentConfig(**bad)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(bad))
+        with pytest.raises(ValueError, match=match):
+            load_config(path)
+
+    def test_sampler_configs_follow_fields(self):
+        cfg = ExperimentConfig(
+            chain_walkers=16,
+            chain_steps=300,
+            chain_burn_in=100,
+            pre_prior_steps=400,
+            pre_prior_burn_in=50,
+        )
+        assert cfg.chain_config == EnsembleConfig(n_walkers=16, n_steps=300, burn_in=100)
+        assert cfg.pre_prior_config == EnsembleConfig(n_walkers=16, n_steps=400, burn_in=50)
 
     def test_model_prior_tables(self):
         uni = model_prior_probs("uniform")

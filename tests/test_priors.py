@@ -28,7 +28,13 @@ from mmuq.priors import (
     kde_bandwidths,
 )
 
-QUICK_CHAIN = EnsembleConfig(n_walkers=32, n_steps=900, burn_in=300, seed=0)
+QUICK_CHAIN = EnsembleConfig(n_walkers=32, n_steps=900, burn_in=300)
+
+
+def quick_prior(family, historical, max_components=5000):
+    return build_informative_prior(
+        family, historical, QUICK_CHAIN, np.random.default_rng(0), max_components
+    )
 
 
 def trapz2d(z, x, y):
@@ -63,9 +69,10 @@ class TestDefaultUniformPrior:
     def test_density_is_inverse_volume_inside_and_zero_outside(self):
         box = default_uniform_prior(ModelFamily.NORMAL)
         volume = np.prod(box.hi - box.lo)
-        assert box.density(np.array([40.0, 5.0])) == pytest.approx(1.0 / volume, rel=1e-12)
-        assert box.density(np.array([40.0, 30.0])) == 0.0
-        assert box.density(np.array([10.0, 5.0])) == 0.0
+        dens = np.exp(box.log_density_batch(np.array([[40.0, 5.0], [40.0, 30.0], [10.0, 5.0]])))
+        assert dens[0] == pytest.approx(1.0 / volume, rel=1e-12)
+        assert dens[1] == 0.0
+        assert dens[2] == 0.0
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_density_integrates_to_one(self, family):
@@ -110,7 +117,7 @@ class TestKdePrior:
         w = np.array([0.2, 0.5])
         prior = KdePrior(support_samples=theta0[None, :], bandwidths=w)
         expected = 1.0 / (w[0] * np.sqrt(2 * np.pi)) / (w[1] * np.sqrt(2 * np.pi))
-        assert prior.density(theta0) == pytest.approx(expected, rel=1e-12)
+        assert np.exp(prior.log_density_batch(theta0)[0]) == pytest.approx(expected, rel=1e-12)
 
     def test_density_integrates_to_one(self, rng):
         support = rng.standard_normal((150, 2)) * [1.5, 0.4] + [10.0, 2.0]
@@ -156,7 +163,7 @@ class TestKdePrior:
 
     @staticmethod
     def reference_log_density(prior, thetas):
-        # direct log-sum-exp over every kernel, no chunking or peak shift
+        # direct log-sum-exp over every kernel, no blocks or peak shift
         z = (thetas[:, None, :] - prior.support_samples[None, :, :]) / prior.bandwidths
         log_kernels = -0.5 * np.sum(z * z, axis=2) - np.sum(np.log(prior.bandwidths)) - np.log(
             2.0 * np.pi
@@ -170,8 +177,8 @@ class TestKdePrior:
 
     @pytest.mark.parametrize("rows", [1, 511, 512, 513, 1100])
     def test_batch_matches_direct_reference(self, wide_prior, rng, rows):
-        # row counts across several default blocks (187 rows at 700 kernels)
-        # and on both sides of a 512-row block
+        # one row, counts that end mid-block, and 1100 rows across six
+        # default blocks (187 rows each at 700 kernels)
         idx = rng.integers(0, wide_prior.n_components, rows)
         thetas = wide_prior.support_samples[idx] + rng.standard_normal((rows, 2)) * [2.0, 0.5]
         got = wide_prior.log_density_batch(thetas)
@@ -190,10 +197,12 @@ class TestKdePrior:
             got, self.reference_log_density(wide_prior, far[None, :]), rtol=1e-14, atol=1e-12
         )
 
-    def test_chunk_size_does_not_change_values(self, wide_prior, rng):
+    def test_one_row_calls_match_batched_call(self, wide_prior, rng):
+        # 1100 rows span six default blocks at 700 kernels; blocking must
+        # not change a single bit
         thetas = wide_prior.sample(rng, 1100)
         np.testing.assert_array_equal(
-            wide_prior.log_density_batch(thetas, chunk=1),
+            np.concatenate([wide_prior.log_density_batch(t[None, :]) for t in thetas]),
             wide_prior.log_density_batch(thetas),
         )
 
@@ -227,9 +236,7 @@ class TestBuildInformativePrior:
     def test_abs_b_prior_mode_near_generator(self):
         historical = historical_dataset("ABS-B")
         assert historical.n == 79
-        prior = build_informative_prior(
-            ModelFamily.LOGNORMAL, historical, cfg=QUICK_CHAIN
-        )
+        prior = quick_prior(ModelFamily.LOGNORMAL, historical)
         target = params_from_moments(ModelFamily.LOGNORMAL, 34.782, 0.116)
         mean = prior.support_samples.mean(axis=0)
         sd = prior.support_samples.std(axis=0, ddof=1)
@@ -248,9 +255,7 @@ class TestBuildInformativePrior:
         historical = Dataset(
             sample(ModelFamily.LOGNORMAL, theta_true, rng, 2000), label="big"
         )
-        prior = build_informative_prior(
-            ModelFamily.LOGNORMAL, historical, cfg=QUICK_CHAIN
-        )
+        prior = quick_prior(ModelFamily.LOGNORMAL, historical)
         # fitted parameters: closed-form lognormal MLE on the historical data
         logs = np.log(historical.values)
         fitted = np.array([logs.mean(), logs.std()])
@@ -267,14 +272,10 @@ class TestBuildInformativePrior:
 
     def test_repeated_value_raises_degenerate(self):
         with pytest.raises(DegenerateDataError):
-            build_informative_prior(
-                ModelFamily.NORMAL, Dataset(np.full(20, 34.0)), cfg=QUICK_CHAIN
-            )
+            quick_prior(ModelFamily.NORMAL, Dataset(np.full(20, 34.0)))
 
     def test_prior_sample_mean_matches_support_mean(self, rng):
-        prior = build_informative_prior(
-            ModelFamily.NORMAL, historical_dataset("ASTM-A7"), cfg=QUICK_CHAIN
-        )
+        prior = quick_prior(ModelFamily.NORMAL, historical_dataset("ASTM-A7"))
         n = 100_000
         draws = prior.sample(rng, n)
         support_mean = prior.support_samples.mean(axis=0)
@@ -300,13 +301,15 @@ class TestBuildInformativePrior:
         assert np.all(np.isneginf(ll[draws[:, 1] <= 0.0]))
 
     def test_kde_component_cap_strides_chain(self):
-        prior = build_informative_prior(
-            ModelFamily.LOGNORMAL,
-            historical_dataset("ABS-C"),
-            cfg=QUICK_CHAIN,
-            max_components=1000,
-        )
+        prior = quick_prior(ModelFamily.LOGNORMAL, historical_dataset("ABS-C"), 1000)
         assert prior.n_components <= 1000
+
+    @pytest.mark.parametrize("cap", [1, 0, -1, -2])
+    def test_rejects_kernel_cap_below_two(self, cap):
+        # a negative cap would stride the chain backwards, 0 would divide by
+        # zero and 1 leaves too few kernels for a bandwidth
+        with pytest.raises(ValueError, match="max_components"):
+            quick_prior(ModelFamily.LOGNORMAL, historical_dataset("ABS-C"), cap)
 
 
 class TestHistoricalData:

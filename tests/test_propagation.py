@@ -286,7 +286,8 @@ class TestPropagate:
         perm = np.random.default_rng(4).permutation(30)
         res = propagate(ens, buckling_response(MEAN_PLATE), 5000,
                         np.random.default_rng(5), x_samples=x)
-        res_p = propagate(ens.permuted(perm), buckling_response(MEAN_PLATE), 5000,
+        permuted = DistributionEnsemble(ens.family_codes[perm], ens.thetas[perm])
+        res_p = propagate(permuted, buckling_response(MEAN_PLATE), 5000,
                           np.random.default_rng(6), x_samples=x)
         np.testing.assert_allclose(res_p.means, res.means[perm], rtol=1e-10)
         np.testing.assert_allclose(res_p.pfs, res.pfs[perm], rtol=1e-10, atol=1e-12)
