@@ -28,7 +28,6 @@ from .distributions import (
     cdf,
     log_likelihood,
     log_pdf,
-    lognormal_from_mean_cov,
     moments,
     params_from_moments,
     pdf,
@@ -38,7 +37,6 @@ from .evidence import (
     ModelPosteriorProbs,
     ModelPriorProbs,
     aic_weights,
-    bic_weights,
     log_evidence_mc,
     model_posteriors,
     savvy_priors,

@@ -19,8 +19,8 @@ from .distributions import (
     ModelFamily,
     cdf as dist_cdf,
     log_pdf as dist_log_pdf,
-    lognormal_from_mean_cov,
     moments as dist_moments,
+    params_from_moments,
     sample as dist_sample,
 )
 from .seeding import rng_for
@@ -83,7 +83,8 @@ MEAN_PLATE = PlateConfig(
 
 @dataclass(frozen=True)
 class TrueModelSpec:
-    """Generator of the synthetic yield-strength data (ABS-B material)."""
+    """Generator of the synthetic yield-strength data (ABS-B material):
+    ``family`` with the parameters that match ``mean`` and ``cov``."""
 
     family: ModelFamily = ModelFamily.LOGNORMAL
     mean: float = 34.782
@@ -91,7 +92,7 @@ class TrueModelSpec:
 
     @property
     def theta(self) -> np.ndarray:
-        return lognormal_from_mean_cov(self.mean, self.cov)
+        return params_from_moments(self.family, self.mean, self.cov)
 
 
 TRUE_MODEL = TrueModelSpec()
@@ -144,17 +145,15 @@ def generate_data(spec: TrueModelSpec, n: int, seed: int) -> Dataset:
 
 
 def response_moments(
-    family: ModelFamily,
-    theta,
-    base: PlateConfig = MEAN_PLATE,
-    n_grid: int = 200_001,
+    family: ModelFamily, theta, base: PlateConfig = MEAN_PLATE
 ) -> tuple[float, float]:
     """Quadrature mean and variance of psi(sigma0) under one yield-strength
-    model; independent of the sampling-based propagation path."""
+    model (trapezoid rule on 200,001 points over +-12 sd); independent of
+    the sampling-based propagation path."""
     mean_s, sd_s = dist_moments(family, theta)
     lo = max(mean_s - 12.0 * sd_s, 1e-6)
     hi = mean_s + 12.0 * sd_s
-    grid = np.linspace(lo, hi, n_grid)
+    grid = np.linspace(lo, hi, 200_001)
     density = np.exp(dist_log_pdf(family, theta, grid))
     gv = buckling_response(base)(grid)
     m1 = float(np.trapezoid(gv * density, grid))
@@ -163,14 +162,11 @@ def response_moments(
 
 
 def pf_semianalytic(
-    family: ModelFamily,
-    theta,
-    threshold: float,
-    base: PlateConfig = MEAN_PLATE,
-    tol: float = 1e-10,
+    family: ModelFamily, theta, threshold: float, base: PlateConfig = MEAN_PLATE
 ) -> float:
     """Failure probability P(psi < threshold) for one yield-strength model,
-    by root finding on psi(sigma0) and one CDF evaluation.
+    by root finding on psi(sigma0) (bisection to 1e-10 ksi) and one CDF
+    evaluation.
 
     psi must cross the threshold exactly once, downward, on the yield range
     (psi has a shallow turnover just above sigma0 = 15 ksi, so strictness is
@@ -201,7 +197,7 @@ def pf_semianalytic(
             f"on [{lo}, {hi}]); configuration outside the study envelope"
         )
     lo, hi = grid[down[0]], grid[down[0] + 1]
-    while hi - lo > tol:
+    while hi - lo > 1e-10:
         mid = 0.5 * (lo + hi)
         if g(mid) > threshold:
             lo = mid

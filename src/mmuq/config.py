@@ -10,8 +10,8 @@ from pathlib import Path
 import numpy as np
 
 from .buckling import FAILURE_THRESHOLD, MEAN_PLATE, PlateConfig
-from .distributions import FAMILIES, ModelFamily
-from .evidence import ModelPriorProbs
+from .distributions import FAMILIES, PARAM_DIM, ModelFamily
+from .evidence import ModelPriorProbs, savvy_priors
 from .mcmc import EnsembleConfig
 from .priors import HISTORICAL_SOURCES
 
@@ -34,18 +34,20 @@ _STRONG = 0.9
 _WEAK = (1.0 - _STRONG) / 6.0
 
 
-def model_prior_probs(name: str) -> ModelPriorProbs:
-    """Fixed prior model probability tables ("savvy" priors depend on the
-    dataset size and are handled where the data are known)."""
+def model_prior_probs(name: str, size: int) -> ModelPriorProbs:
+    """Prior model probabilities of one named model prior for a dataset of
+    ``size`` points (only "savvy" depends on it)."""
     m = len(FAMILIES)
     if name == "uniform":
         return ModelPriorProbs.uniform(m)
+    if name == "savvy":
+        return savvy_priors(size, np.full(m, float(PARAM_DIM)))
     if name == "strong_correct":
         favored = ModelFamily.LOGNORMAL
     elif name == "strong_incorrect":
         favored = ModelFamily.LOGLOGISTIC
     else:
-        raise KeyError(f"no fixed probability table for model prior {name!r}")
+        raise KeyError(f"unknown model prior {name!r}")
     pi = np.full(m, _WEAK)
     pi[FAMILIES.index(favored)] = _STRONG
     return ModelPriorProbs(pi)
@@ -132,9 +134,7 @@ class ExperimentConfig:
         ]
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["plate"] = asdict(self.plate)
-        return d
+        return asdict(self)
 
     def config_hash(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True).encode()

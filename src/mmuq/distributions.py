@@ -54,7 +54,6 @@ __all__ = [
     "log_pdf_grid",
     "moments",
     "params_from_moments",
-    "lognormal_from_mean_cov",
     "POSITIVE_PARAMS",
 ]
 
@@ -65,6 +64,10 @@ _NEG_INF = -np.inf
 # without sufficient statistics.  Blocks of 2^17 cells measured slower
 # (page faults on every fresh block), so keep this small.
 _LIKELIHOOD_CHUNK = 256
+# Cells per density block (rows x columns) of the KDE prior and the
+# propagation loops: about 1 MB of float64, so the passes over a block stay
+# in cache.
+_BLOCK_CELLS = 1 << 17
 
 
 class ModelFamily(Enum):
@@ -502,15 +505,6 @@ def moments(family: ModelFamily, theta) -> tuple[float, float]:
     raise KeyError(family)  # pragma: no cover
 
 
-def lognormal_from_mean_cov(mean: float, cov: float) -> np.ndarray:
-    """Lognormal (log-location, log-scale) matching a mean and coefficient
-    of variation: zeta^2 = ln(1 + cov^2), lam = ln(mean) - zeta^2 / 2."""
-    if mean <= 0.0 or cov <= 0.0:
-        raise ValueError("mean and cov must be positive")
-    z2 = np.log1p(cov**2)
-    return np.array([np.log(mean) - z2 / 2.0, np.sqrt(z2)])
-
-
 def _weibull_shape_from_cov(cov: float) -> float:
     target = 1.0 + cov**2
 
@@ -541,7 +535,9 @@ def params_from_moments(family: ModelFamily, mean: float, cov: float) -> np.ndar
     if family is ModelFamily.NORMAL:
         return np.array([mean, mean * cov])
     if family is ModelFamily.LOGNORMAL:
-        return lognormal_from_mean_cov(mean, cov)
+        # zeta^2 = ln(1 + cov^2), lam = ln(mean) - zeta^2 / 2
+        z2 = np.log1p(cov**2)
+        return np.array([np.log(mean) - z2 / 2.0, np.sqrt(z2)])
     if family is ModelFamily.GAMMA:
         return np.array([1.0 / cov**2, mean * cov**2])
     if family is ModelFamily.INVERSE_GAUSSIAN:

@@ -2,10 +2,10 @@
 
 The evidence (marginal likelihood) of a model is estimated by Monte Carlo:
 the likelihood averaged over draws from the parameter prior, accumulated
-with log-sum-exp.  Posterior model probabilities combine evidences with
-prior model probabilities through Bayes' rule.  AIC/BIC weights provide the
-information-criterion route; with "savvy" model priors the generalized BIC
-weights collapse exactly onto AIC weights.
+with log-sum-exp.  Posterior model probabilities combine log evidences with
+prior model probabilities through Bayes' rule (``model_posteriors``).  With
+-BIC/2 as each model's log evidence and "savvy" model priors, the same rule
+gives exactly the AIC weights.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ __all__ = [
     "max_log_likelihood",
     "information_criteria",
     "aic_weights",
-    "bic_weights",
     "savvy_priors",
 ]
 
@@ -172,18 +171,10 @@ def aic_weights(aics) -> np.ndarray:
     return w / w.sum()
 
 
-def bic_weights(bics, prior: ModelPriorProbs) -> np.ndarray:
-    """Generalized BIC weights: exp(-(BIC_j - BIC_min)/2) pi_j, normalized."""
-    bics = np.asarray(bics, dtype=float)
-    if bics.shape != prior.pi.shape:
-        raise ValueError("bics and prior lengths disagree")
-    w = np.exp(-0.5 * (bics - bics.min())) * prior.pi
-    return w / w.sum()
-
-
 def savvy_priors(n: int, ks) -> ModelPriorProbs:
     """Sample-size and complexity aware model priors proportional to
-    exp(K ln(n)/2 - K); under these, BIC weights equal AIC weights."""
+    exp(K ln(n)/2 - K); Bayes' rule under these, with -BIC/2 as the log
+    evidence, gives the AIC weights."""
     ks = np.asarray(ks, dtype=float)
     logw = 0.5 * ks * np.log(n) - ks
     w = np.exp(logw - logw.max())

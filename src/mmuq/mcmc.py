@@ -178,9 +178,9 @@ def sample_posterior(
     return PosteriorChain(family=family, samples=flat, acceptance_rate=rate)
 
 
-def effective_sample_size(x: np.ndarray, max_lag: int | None = None) -> float:
+def effective_sample_size(x: np.ndarray) -> float:
     """ESS of a 1-D series from its integrated autocorrelation time
-    (initial positive sequence estimator)."""
+    (initial positive sequence estimator, lags up to min(n - 2, 1000))."""
     x = np.asarray(x, dtype=float)
     n = x.size
     if n < 4:
@@ -189,10 +189,8 @@ def effective_sample_size(x: np.ndarray, max_lag: int | None = None) -> float:
     var = np.dot(xc, xc) / n
     if var == 0.0:
         return float(n)
-    if max_lag is None:
-        max_lag = min(n - 2, 1000)
     tau = 1.0
-    for lag in range(1, max_lag + 1):
+    for lag in range(1, min(n - 2, 1000) + 1):
         rho = np.dot(xc[:-lag], xc[lag:]) / ((n - lag) * var)
         if rho <= 0.0:
             break

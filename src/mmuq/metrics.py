@@ -62,9 +62,10 @@ class EmpiricalCdf:
         return int(self.values.size)
 
 
-def default_sigma0_grid(n_points: int = 2001) -> np.ndarray:
-    """Yield-strength grid (ksi) covering all materials with margin."""
-    return np.linspace(15.0, 65.0, n_points)
+def default_sigma0_grid() -> np.ndarray:
+    """Yield-strength grid (ksi) covering all materials with margin: 2001
+    points from 15 to 65."""
+    return np.linspace(15.0, 65.0, 2001)
 
 
 def _trapezoid_weights(grid: np.ndarray) -> np.ndarray:

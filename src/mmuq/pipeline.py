@@ -35,10 +35,8 @@ from .distributions import FAMILIES, Dataset, ModelFamily
 from .evidence import (
     ModelPosteriorProbs,
     information_criteria,
-    bic_weights,
     log_evidence_mc,
     model_posteriors,
-    savvy_priors,
 )
 from .io import write_dataset_csv, write_table
 from .mcmc import PosteriorChain, sample_posterior
@@ -221,16 +219,14 @@ class StudyPipeline:
         return np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
 
     def posterior_probs(self, size: int, param_prior: str, model_prior: str) -> ModelPosteriorProbs:
+        """Bayes' rule over models.  Savvy cells take -BIC/2 as each model's
+        log evidence, which with savvy priors gives the AIC weights; the
+        other model priors use the Monte Carlo evidences."""
         if model_prior == "savvy":
-            # Information-criterion route: generalized BIC weights under
-            # savvy priors, which collapse onto AIC weights.  The implied
-            # log evidence is the BIC approximation -BIC/2.
-            _, bics = self.criteria(size)
-            ks = np.full(len(FAMILIES), 2.0)
-            pi_hat = bic_weights(bics, savvy_priors(size, ks))
-            return ModelPosteriorProbs(pi_hat=pi_hat, log_evidence=-bics / 2.0)
-        log_ev = self.log_evidences(size, param_prior)
-        return model_posteriors(log_ev, model_prior_probs(model_prior))
+            log_ev = -self.criteria(size)[1] / 2.0
+        else:
+            log_ev = self.log_evidences(size, param_prior)
+        return model_posteriors(log_ev, model_prior_probs(model_prior, size))
 
     @_memo
     def ensemble(self, size: int, param_prior: str, model_prior: str) -> DistributionEnsemble:

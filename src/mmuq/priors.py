@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import (
+    _BLOCK_CELLS,
     Dataset,
     ModelFamily,
     PARAM_DIM,
@@ -40,9 +41,6 @@ __all__ = [
 ]
 
 _LOG_2PI = np.log(2.0 * np.pi)
-# Cells per KDE density block (rows x kernels): about 1 MB of float64, so
-# the passes over a block stay in cache.
-_BLOCK_CELLS = 1 << 17
 
 # Yield-strength envelope (ksi) that the noninformative boxes must cover.
 ENVELOPE_MEAN = (20.0, 60.0)

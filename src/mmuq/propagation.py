@@ -15,7 +15,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .distributions import FAMILIES, ModelFamily, log_pdf_grid, sample_one_per
+from .distributions import _BLOCK_CELLS, FAMILIES, ModelFamily, log_pdf_grid, sample_one_per
 from .evidence import ModelPosteriorProbs
 from .mcmc import PosteriorChain
 
@@ -27,10 +27,6 @@ __all__ = [
     "sample_mixture",
     "propagate",
 ]
-
-# Cells per density block (rows x columns): about 1 MB of float64, so the
-# passes over a block stay in cache.
-_BLOCK_CELLS = 1 << 17
 
 
 @dataclass

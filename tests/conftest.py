@@ -9,6 +9,14 @@ def rng():
     return np.random.default_rng(20180421)
 
 
+def generalized_bic_weights(bics, prior):
+    """Reference formula: exp(-(BIC_j - BIC_min)/2) pi_j, normalized (the
+    library computes it as Bayes' rule on -BIC/2)."""
+    bics = np.asarray(bics, dtype=float)
+    w = np.exp(-0.5 * (bics - bics.min())) * prior.pi
+    return w / w.sum()
+
+
 # Representative parameter vectors per family: one near the yield-strength
 # study point, one generic.
 STUDY_THETAS = {

@@ -19,7 +19,7 @@ import pytest
 from mmuq.buckling import MEAN_PLATE, TRUE_MODEL, buckling_response
 from mmuq.config import ExperimentConfig
 from mmuq.distributions import FAMILIES, Dataset, ModelFamily, pdf, sample
-from mmuq.evidence import aic_weights, bic_weights, log_evidence_mc, savvy_priors
+from mmuq.evidence import aic_weights, log_evidence_mc, model_posteriors, savvy_priors
 from mmuq.metrics import (
     EmpiricalCdf,
     area_validation_metric,
@@ -88,7 +88,8 @@ def test_criterion_2_savvy_prior_identity():
         n = int(rng.choice([10, 100, 1000]))
         ks = rng.integers(1, 4, size=m).astype(float)
         ll = rng.normal(-150.0, 40.0, size=m)
-        w_bic = bic_weights(-2 * ll + ks * np.log(n), savvy_priors(n, ks))
+        bics = -2 * ll + ks * np.log(n)
+        w_bic = model_posteriors(-bics / 2, savvy_priors(n, ks)).pi_hat
         w_aic = aic_weights(-2 * ll + 2 * ks)
         worst = max(worst, float(np.max(np.abs(w_bic - w_aic))))
     elapsed = time.perf_counter() - t0

@@ -9,6 +9,7 @@ from mmuq.buckling import (
     NOMINAL_PLATE,
     TRUE_MODEL,
     PlateConfig,
+    TrueModelSpec,
     buckling_response,
     generate_data,
     pf_semianalytic,
@@ -17,7 +18,7 @@ from mmuq.buckling import (
     response_moments,
     slenderness,
 )
-from mmuq.distributions import ModelFamily, lognormal_from_mean_cov, sample
+from mmuq.distributions import FAMILIES, ModelFamily, moments, params_from_moments, sample
 from mmuq.seeding import rng_for
 
 
@@ -157,7 +158,15 @@ class TestPlateConfig:
 
     def test_true_model_parameters(self):
         np.testing.assert_allclose(
-            TRUE_MODEL.theta, lognormal_from_mean_cov(34.782, 0.116), rtol=1e-12
+            TRUE_MODEL.theta,
+            params_from_moments(ModelFamily.LOGNORMAL, 34.782, 0.116),
+            rtol=1e-12,
         )
         assert TRUE_MODEL.theta[0] == pytest.approx(3.54242, abs=1e-5)
         assert TRUE_MODEL.theta[1] == pytest.approx(0.115612, abs=1e-6)
+
+    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.value)
+    def test_true_model_of_any_family_matches_its_moments(self, family):
+        mean, sd = moments(family, TrueModelSpec(family=family).theta)
+        assert mean == pytest.approx(34.782, rel=1e-9)
+        assert sd == pytest.approx(34.782 * 0.116, rel=1e-9)

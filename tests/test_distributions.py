@@ -20,7 +20,6 @@ from mmuq.distributions import (
     log_likelihood_batch,
     log_pdf,
     log_pdf_grid,
-    lognormal_from_mean_cov,
     moments,
     params_from_moments,
     pdf,
@@ -325,7 +324,7 @@ class TestLogPdfGrid:
 
 class TestMomentMaps:
     def test_lognormal_from_mean_cov_values(self, rng):
-        theta = lognormal_from_mean_cov(34.782, 0.116)
+        theta = params_from_moments(ModelFamily.LOGNORMAL, 34.782, 0.116)
         # oracle: a large sample from the result reproduces the moments
         draws = sample(ModelFamily.LOGNORMAL, theta, rng, 10**6)
         assert draws.mean() == pytest.approx(34.782, abs=0.02)
@@ -333,19 +332,19 @@ class TestMomentMaps:
 
     def test_lognormal_algebraic_inversion(self):
         # zeta^2 = ln(1 + cov^2) = 1  =>  cov = sqrt(e - 1), lam = 0
-        theta = lognormal_from_mean_cov(np.exp(0.5), np.sqrt(np.e - 1.0))
+        theta = params_from_moments(ModelFamily.LOGNORMAL, np.exp(0.5), np.sqrt(np.e - 1.0))
         assert theta[0] == pytest.approx(0.0, abs=1e-12)
         assert theta[1] == pytest.approx(1.0, rel=1e-12)
 
     def test_lognormal_degenerate_limit(self):
-        theta = lognormal_from_mean_cov(1.0, 1e-8)
+        theta = params_from_moments(ModelFamily.LOGNORMAL, 1.0, 1e-8)
         assert abs(theta[0]) < 1e-15 and theta[1] == pytest.approx(1e-8, rel=1e-6)
 
     def test_rejects_nonpositive_inputs(self):
         with pytest.raises(ValueError):
-            lognormal_from_mean_cov(-1.0, 0.1)
+            params_from_moments(ModelFamily.LOGNORMAL, -1.0, 0.1)
         with pytest.raises(ValueError):
-            lognormal_from_mean_cov(1.0, 0.0)
+            params_from_moments(ModelFamily.LOGNORMAL, 1.0, 0.0)
 
     @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("mean,cov", [(34.782, 0.116), (20.0, 0.35), (60.0, 0.01)])

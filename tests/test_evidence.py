@@ -1,17 +1,18 @@
 """Evidence estimator vs quadrature, Bayes' rule over models, and the
-information-criterion weight identities."""
+information-criterion weight identities (BIC weights are Bayes' rule with
+-BIC/2 as the log evidence)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import generalized_bic_weights
 from mmuq.distributions import Dataset, ModelFamily
 from mmuq.evidence import (
     EvidenceUnderflowError,
     ModelPosteriorProbs,
     ModelPriorProbs,
     aic_weights,
-    bic_weights,
     information_criteria,
     log_evidence_mc,
     max_log_likelihood,
@@ -221,7 +222,7 @@ class TestWeights:
         )
 
     def test_uniform_prior_equal_bics(self):
-        w = bic_weights(np.full(7, 3.0), ModelPriorProbs.uniform(7))
+        w = model_posteriors(-np.full(7, 3.0) / 2.0, ModelPriorProbs.uniform(7)).pi_hat
         np.testing.assert_allclose(w, np.full(7, 1.0 / 7.0), rtol=1e-12)
 
     def test_savvy_identity_randomized(self, rng):
@@ -234,7 +235,7 @@ class TestWeights:
             ll = rng.normal(-120.0, 30.0, size=m)
             aics = -2.0 * ll + 2.0 * ks
             bics = -2.0 * ll + ks * np.log(n)
-            w_bic = bic_weights(bics, savvy_priors(n, ks))
+            w_bic = model_posteriors(-bics / 2.0, savvy_priors(n, ks)).pi_hat
             w_aic = aic_weights(aics)
             np.testing.assert_allclose(w_bic, w_aic, atol=1e-10)
 
@@ -246,13 +247,26 @@ class TestWeights:
             bics = rng.uniform(0.0, 20.0, size=m)
             pi_raw = rng.dirichlet(np.ones(m) * 0.3)
             prior = ModelPriorProbs(pi_raw / pi_raw.sum())
-            w = bic_weights(bics, prior)
+            w = model_posteriors(-bics / 2.0, prior).pi_hat
             lin = np.exp(-bics / 2.0)
             avg = np.sum(prior.pi * lin)
             for j in range(m):
                 if prior.pi[j] == 0.0:
                     continue
                 assert (w[j] > prior.pi[j]) == (lin[j] > avg)
+
+    def test_bayes_rule_on_bics_equals_generalized_bic_weights(self, rng):
+        # Bayes' rule on -BIC/2 is the generalized BIC weight formula bit
+        # for bit: halving is exact, so the shifted log evidences agree
+        for _ in range(500):
+            m = int(rng.integers(2, 8))
+            bics = rng.normal(300.0, 80.0, size=m)
+            if rng.random() < 0.5:
+                prior = savvy_priors(int(rng.integers(2, 20_000)), rng.integers(1, 4, size=m))
+            else:
+                prior = ModelPriorProbs(rng.dirichlet(np.ones(m)))
+            got = model_posteriors(-bics / 2.0, prior).pi_hat
+            np.testing.assert_array_equal(got, generalized_bic_weights(bics, prior))
 
     def test_savvy_priors_equal_complexity_is_uniform(self):
         pri = savvy_priors(125, np.full(7, 2.0))

@@ -12,11 +12,12 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
+from conftest import generalized_bic_weights
 from mmuq import pipeline as pipeline_module
 from mmuq.cli import main
-from mmuq.config import ExperimentConfig, load_config, model_prior_probs
+from mmuq.config import MODEL_PRIOR_NAMES, ExperimentConfig, load_config, model_prior_probs
 from mmuq.distributions import FAMILIES
-from mmuq.evidence import aic_weights, information_criteria
+from mmuq.evidence import aic_weights, information_criteria, savvy_priors
 from mmuq.io import DatasetFormatError, read_dataset_csv, write_dataset_csv
 from mmuq.mcmc import EnsembleConfig
 from mmuq.pipeline import StudyPipeline
@@ -110,6 +111,15 @@ class TestQuantifyOutputs:
             [information_criteria(f, pipeline.dataset(size))[0] for f in FAMILIES]
         )
         np.testing.assert_allclose(got, aic_weights(aics), atol=1e-6)
+
+    def test_savvy_probs_are_generalized_bic_weights_bitwise(self, study):
+        cfg, pipeline, _, _ = study
+        for size in cfg.dataset_sizes:
+            bics = pipeline.criteria(size)[1]
+            probs = pipeline.posterior_probs(size, "ABS-B", "savvy")
+            want = generalized_bic_weights(bics, savvy_priors(size, np.full(7, 2.0)))
+            np.testing.assert_array_equal(probs.pi_hat, want)
+            np.testing.assert_array_equal(probs.log_evidence, -bics / 2.0)
 
     def test_chain_summaries_cover_all_models(self, study):
         cfg, _, _, _ = study
@@ -596,10 +606,19 @@ class TestConfig:
         assert cfg.pre_prior_config == EnsembleConfig(n_walkers=16, n_steps=400, burn_in=50)
 
     def test_model_prior_tables(self):
-        uni = model_prior_probs("uniform")
+        uni = model_prior_probs("uniform", 50)
         np.testing.assert_allclose(uni.pi, np.full(7, 1 / 7), rtol=1e-12)
-        sc = model_prior_probs("strong_correct")
+        sc = model_prior_probs("strong_correct", 50)
         assert sc.pi[4] == pytest.approx(0.9)  # Lognormal slot
-        si = model_prior_probs("strong_incorrect")
+        si = model_prior_probs("strong_incorrect", 50)
         assert si.pi[3] == pytest.approx(0.9)  # Loglogistic slot
         assert sc.pi.sum() == pytest.approx(1.0, abs=1e-15)
+        for size in (10, 1000):
+            for name in MODEL_PRIOR_NAMES:
+                assert model_prior_probs(name, size).pi.shape == (7,)
+            # every family has K = 2 parameters
+            np.testing.assert_array_equal(
+                model_prior_probs("savvy", size).pi, savvy_priors(size, np.full(7, 2.0)).pi
+            )
+        with pytest.raises(KeyError):
+            model_prior_probs("flat", 50)
