@@ -93,6 +93,11 @@ class ExperimentConfig:
                 raise ValueError(f"unknown model prior {mp!r}")
         if not self.parameter_priors or not self.model_priors:
             raise ValueError("prior selections must be nonempty")
+        # a repeated entry would run, write and list the same grid cells twice
+        for axis in ("dataset_sizes", "parameter_priors", "model_priors"):
+            values = getattr(self, axis)
+            if len(set(values)) != len(values):
+                raise ValueError(f"{axis} has duplicate entries: {list(values)}")
         for count_name in ("n_k", "n_d", "n_propagation", "workers"):
             if getattr(self, count_name) < 1:
                 raise ValueError(f"{count_name} must be >= 1")

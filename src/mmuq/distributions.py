@@ -24,6 +24,15 @@ invalid parameter rows to -inf, so proposals outside the physical domain are
 rejected rather than crashing the pipeline, while ``log_pdf_grid`` and
 ``sample_one_per`` take rows already drawn from a valid chain and raise on an
 invalid one.
+
+For Normal and Lognormal the log density is a quadratic in u = t(x) - c0,
+with t(x) = x or ln x and c0 a fixed centre, so ``log_pdf_grid`` evaluates
+it as one (rows x 3) . (3 x points) product of per-row coefficients and
+per-point features [u^2, u, 1].  It rounds differently from the direct
+formula: within a few ulps of the largest term, ((p1 - c0) / p2)^2 / 2
+(about 1.5e-12 * (1 + |log p|) at worst over the noninformative boxes).  A
+cell's value depends only on its own parameter row and point, never on the
+other rows or points of the call.
 """
 
 from __future__ import annotations
@@ -120,6 +129,13 @@ POSITIVE_SUPPORT = frozenset(
         ModelFamily.WEIBULL,
     }
 )
+
+# Centre c0 of the Normal and Lognormal quadratic log densities: the middle
+# of the 20-60 ksi envelope of yield-strength means, and its log.  A fixed
+# centre keeps each cell a function of its own (theta, x) only.  The three
+# terms grow as ((p1 - c0) / p2)^2 and cancel near the mode, so a centre in
+# the middle of the parameter boxes keeps the rounding smallest.
+_QUADRATIC_CENTRE = {ModelFamily.NORMAL: 40.0, ModelFamily.LOGNORMAL: float(np.log(40.0))}
 
 
 class InvalidParameterError(ValueError):
@@ -225,6 +241,55 @@ def _logistic_logpdf_std(z: np.ndarray) -> np.ndarray:
     t *= 2.0
     a -= t
     return a
+
+
+def _quadratic_log_pdf(family: ModelFamily, thetas: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Normal or Lognormal log densities as one (rows x 3) . (3 x points)
+    product.
+
+    With t(x) = x (Normal) or ln x (Lognormal), u = t(x) - c0 about the
+    fixed centre c0 = ``_QUADRATIC_CENTRE`` and d = p1 - c0, the log
+    density is the quadratic
+
+        a u^2 + b u + k,  a = -1 / (2 p2^2),  b = d / p2^2 [- 1],
+                          k = -ln p2 - ln(2 pi) / 2 - d^2 / (2 p2^2) [- c0],
+
+    where the bracketed terms are the Lognormal's -ln x.  Points where u^2
+    overflows get -inf.
+    """
+    lognormal = family is ModelFamily.LOGNORMAL
+    c0 = _QUADRATIC_CENTRE[family]
+    n = x.size
+    # Features [u^2, u, 1], one column per point.  np.einsum sums the three
+    # terms of every cell in the same order only while the point axis is
+    # its inner loop; a single point would make the term axis the inner
+    # loop (a dot kernel that adds in another order), so it is padded to two.
+    feats = np.zeros((3, max(n, 2)))
+    u = feats[1, :n]
+    if lognormal:
+        np.log(x, out=u)
+    else:
+        u[:] = x
+    u -= c0
+    np.multiply(u, u, out=feats[0, :n])
+    feats[2] = 1.0
+
+    p1, p2 = thetas[:, 0], thetas[:, 1]
+    d = p1 - c0
+    inv_var = 1.0 / (p2 * p2)
+    coef = np.empty((thetas.shape[0], 3))
+    coef[:, 0] = -0.5 * inv_var
+    coef[:, 1] = d * inv_var
+    coef[:, 2] = -np.log(p2) - 0.5 * _LOG_2PI - 0.5 * d * d * inv_var
+    if lognormal:
+        coef[:, 1] -= 1.0
+        coef[:, 2] -= c0
+
+    out = np.einsum("ik,kj->ij", coef, feats, optimize=False)[:, :n]
+    overflow = np.isinf(feats[0, :n])
+    if np.any(overflow):
+        out[:, overflow] = _NEG_INF
+    return out
 
 
 def log_pdf(family: ModelFamily, theta, x):
@@ -412,21 +477,8 @@ def log_pdf_grid(family: ModelFamily, thetas: np.ndarray, x: np.ndarray) -> np.n
     xr = x[None, :]
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if family is ModelFamily.NORMAL:
-            out = xr - p1
-            out /= p2
-            out *= out
-            out *= 0.5
-            np.subtract(-np.log(p2) - 0.5 * _LOG_2PI, out, out=out)
-        elif family is ModelFamily.LOGNORMAL:
-            lx = np.log(xr)
-            out = np.subtract(-lx, np.log(p2))
-            out -= 0.5 * _LOG_2PI
-            t = lx - p1
-            t /= p2
-            t *= t
-            t *= 0.5
-            out -= t
+        if family is ModelFamily.NORMAL or family is ModelFamily.LOGNORMAL:
+            out = _quadratic_log_pdf(family, thetas, x)
         elif family is ModelFamily.GAMMA:
             out = np.multiply(p1 - 1.0, np.log(xr))
             out -= xr / p2

@@ -100,13 +100,20 @@ def avg_mean_square_distance(
     """Half the mean, over members, of the integrated squared difference
     between member density and the reference density.
 
-    The integral uses the trapezoid rule on the ascending ``grid``; the
-    same integral on a doubled-resolution grid, taken from the same density
-    evaluations, guards against under-resolved grids.
+    The integral uses the trapezoid rule on ``grid``, a finite, strictly
+    ascending 1-D array of at least 2 points (anything else raises
+    ``ValueError``); the same integral on a doubled-resolution grid, taken
+    from the same density evaluations, guards against under-resolved grids.
     """
     if grid is None:
         grid = default_sigma0_grid()
     grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or grid.size < 2:
+        raise ValueError(f"grid must be 1-D with at least 2 points, got shape {grid.shape}")
+    if not np.all(np.isfinite(grid)):
+        raise ValueError("grid holds non-finite values")
+    if np.any(np.diff(grid) <= 0.0):
+        raise ValueError("grid must be strictly ascending")
     fine = np.linspace(grid[0], grid[-1], 2 * (grid.size - 1) + 1)
     x = np.union1d(grid, fine)
     weights = np.zeros((x.size, 2))

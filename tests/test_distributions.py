@@ -4,6 +4,7 @@ Quadrature and moment oracles are computed in-test; they never reuse the
 closed-form implementations they check.
 """
 
+import itertools
 import warnings
 
 import numpy as np
@@ -27,6 +28,8 @@ from mmuq.distributions import (
     sample_one_per,
     theta_is_valid,
 )
+from mmuq.metrics import default_sigma0_grid
+from mmuq.priors import ENVELOPE_MEAN, default_uniform_prior
 
 from conftest import GENERIC_THETAS, STUDY_THETAS
 
@@ -239,9 +242,11 @@ class TestLogLikelihood:
         x = edge_and_random_points(rng)
         want = masked_log_pdf_grid(family, thetas, x)
         for theta, row in zip(thetas, want):
-            assert_same_bits(log_pdf(family, theta, x), row)
+            assert_matches_reference(family, log_pdf(family, theta, x), row)
         for xv, expected in zip(x[:8], want[0, :8]):  # 0-d inputs
-            assert_same_bits(np.array([log_pdf(family, thetas[0], xv)]), np.array([expected]))
+            assert_matches_reference(
+                family, np.array([log_pdf(family, thetas[0], xv)]), np.array([expected])
+            )
 
 
 _LOG_2PI = np.log(2.0 * np.pi)
@@ -269,6 +274,32 @@ def assert_same_bits(got, want):
     np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
     keep = ~np.isnan(want)
     np.testing.assert_array_equal(got[keep].view(np.uint64), want[keep].view(np.uint64))
+
+
+# Families whose log density is a quadratic in x or ln x, evaluated as one
+# (rows x 3) . (3 x points) product; it rounds differently from the direct
+# formula, so they match it within QUADRATIC_RTOL * (1 + |log p|).
+QUADRATIC_FAMILIES = (ModelFamily.NORMAL, ModelFamily.LOGNORMAL)
+QUADRATIC_RTOL = 1e-12
+
+
+def assert_matches_reference(family, got, want, bound=None):
+    """Bitwise equal to the masked reference for the directly evaluated
+    families; for the quadratic ones the same NaN and infinite cells and
+    finite cells within ``bound`` (default QUADRATIC_RTOL * (1 + |want|))."""
+    if family not in QUADRATIC_FAMILIES:
+        assert_same_bits(got, want)
+        return
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+    inf = np.isinf(want)
+    np.testing.assert_array_equal(got[inf], want[inf])
+    finite = np.isfinite(want)
+    np.testing.assert_array_equal(np.isfinite(got), finite)
+    if bound is None:
+        bound = QUADRATIC_RTOL * (1.0 + np.abs(want))
+    err = np.abs(got[finite] - want[finite])
+    assert np.all(err <= bound[finite]), err.max()
 
 
 def masked_log_pdf_grid(family, thetas, x):
@@ -317,9 +348,66 @@ class TestLogPdfGrid:
         x = edge_and_random_points(rng)
         for xs in (x, x[::3]):  # contiguous and strided points
             got = log_pdf_grid(family, thetas, xs)
-            assert_same_bits(got, masked_log_pdf_grid(family, thetas, xs))
+            assert_matches_reference(family, got, masked_log_pdf_grid(family, thetas, xs))
             assert np.all(got[:, xs == -np.inf] == -np.inf)
             assert np.all(np.isnan(got[:, np.isnan(xs)]))
+
+    @pytest.mark.parametrize("family", QUADRATIC_FAMILIES)
+    def test_quadratic_over_noninformative_box(self, family, rng):
+        # The box's corners and 3000 draws, at the edge and random points and
+        # at the density metric's grid.  The quadratic's three terms grow as
+        # s = ((p1 - c0) / p2)^2, with c0 the middle of the envelope (10^4
+        # at the Normal corners with p2 = 0.2), and cancel near the mode, so
+        # the error is a few ulps of s; on the jittered rows above it stays
+        # within QUADRATIC_RTOL.
+        box = default_uniform_prior(family)
+        corners = np.array(list(itertools.product(*zip(box.lo, box.hi))))
+        thetas = np.concatenate([corners, rng.uniform(box.lo, box.hi, size=(3000, 2))])
+        x = np.concatenate([edge_and_random_points(rng), default_sigma0_grid()])
+        want = masked_log_pdf_grid(family, thetas, x)
+        centre = np.mean(ENVELOPE_MEAN)
+        if family is ModelFamily.LOGNORMAL:
+            centre = np.log(centre)
+        s = ((thetas[:, 0] - centre) / thetas[:, 1])[:, None] ** 2
+        bound = 8.0 * np.finfo(float).eps * (1.0 + np.abs(want) + s)
+        assert_matches_reference(family, log_pdf_grid(family, thetas, x), want, bound)
+
+    @pytest.mark.parametrize("family", QUADRATIC_FAMILIES)
+    def test_quadratic_far_points_are_never_nan(self, family, rng):
+        # (t(x) - c0)^2 overflows here and the product would hold inf - inf;
+        # these cells keep the direct formula's -inf (finite values stay)
+        x = np.array([np.inf, 1e308, -1e308, 1.7e308, -1.7e308])
+        box = default_uniform_prior(family)
+        thetas = np.concatenate(
+            [
+                [GENERIC_THETAS[family], STUDY_THETAS[family]],
+                jittered_thetas(family, rng),
+                list(itertools.product(*zip(box.lo, box.hi))),
+            ]
+        )
+        got = log_pdf_grid(family, thetas, x)
+        assert not np.any(np.isnan(got))
+        assert_matches_reference(family, got, masked_log_pdf_grid(family, thetas, x))
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_cell_depends_only_on_its_row_and_point(self, family, rng):
+        # The truth density (one row over every point) and the member
+        # densities (many rows, in column blocks) must agree bit for bit
+        # wherever their parameters and points agree.
+        box = default_uniform_prior(family)
+        thetas = rng.uniform(box.lo, box.hi, size=(1000, 2))
+        x = edge_and_random_points(rng)
+        full = log_pdf_grid(family, thetas, x)
+        for i in (0, 1, 999):
+            assert_same_bits(log_pdf_grid(family, thetas[i : i + 1], x)[0], full[i])
+            assert_same_bits(log_pdf(family, thetas[i], x), full[i])
+            for j in (0, 9, 500, x.size - 1):  # 0-d inputs
+                assert_same_bits(np.array([log_pdf(family, thetas[i], x[j])]), full[i, j : j + 1])
+        for width in (1, 2, 131):
+            blocks = [log_pdf_grid(family, thetas, x[s : s + width]) for s in range(0, x.size, width)]
+            assert_same_bits(np.concatenate(blocks, axis=1), full)
+        assert_same_bits(log_pdf_grid(family, thetas, x[::3]), full[:, ::3])
+        assert_same_bits(log_pdf_grid(family, thetas[::7], x), full[::7])
 
 
 class TestMomentMaps:

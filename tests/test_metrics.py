@@ -33,6 +33,13 @@ class TestAvgMeanSquareDistance:
         ens = normal_ensemble([34.782] * 5, sigma=4.0)
         truth = (ModelFamily.NORMAL, np.array([34.782, 4.0]))
         assert avg_mean_square_distance(ens, truth) == 0.0
+        # Lognormal members spread over two column blocks: the truth density
+        # (one row over every point) equals each member's bit for bit
+        theta = params_from_moments(ModelFamily.LOGNORMAL, 34.782, 0.116)
+        codes = np.full(40, FAMILIES.index(ModelFamily.LOGNORMAL))
+        ens = DistributionEnsemble(codes, np.tile(theta, (40, 1)))
+        assert ens.n_members > propagation._BLOCK_CELLS // (2 * default_sigma0_grid().size)
+        assert avg_mean_square_distance(ens, (ModelFamily.LOGNORMAL, theta)) == 0.0
 
     @pytest.mark.parametrize("mu", [0.0, 0.4, 1.3])
     def test_gaussian_shift_closed_form(self, mu):
@@ -94,6 +101,26 @@ class TestAvgMeanSquareDistance:
         truth = (ModelFamily.NORMAL, np.array([35.0, 0.3]))
         with pytest.raises(CoarseGridError):
             avg_mean_square_distance(ens, truth, np.linspace(15.0, 65.0, 11))
+
+    @pytest.mark.parametrize(
+        "grid, match",
+        [
+            (default_sigma0_grid()[::-1], "ascending"),
+            (np.random.default_rng(3).permutation(default_sigma0_grid()), "ascending"),
+            (np.array([15.0, 20.0, 20.0, 65.0]), "ascending"),
+            (default_sigma0_grid().reshape(1, -1), "1-D"),
+            (np.array([35.0]), "at least 2"),
+            (np.array([15.0, np.nan, 65.0]), "non-finite"),
+            (np.array([15.0, 65.0, np.inf]), "non-finite"),
+        ],
+    )
+    def test_bad_grid_rejected(self, grid, match):
+        # a descending grid used to give the negated distance and a
+        # shuffled one a CoarseGridError
+        ens = normal_ensemble([34.0], sigma=4.0)
+        truth = (ModelFamily.NORMAL, np.array([35.0, 4.0]))
+        with pytest.raises(ValueError, match=match):
+            avg_mean_square_distance(ens, truth, grid)
 
 
 class TestConfidenceRange:

@@ -572,6 +572,29 @@ class TestConfig:
             ExperimentConfig(dataset_sizes=())
 
     @pytest.mark.parametrize(
+        "bad",
+        [
+            {"dataset_sizes": [25, 25]},
+            {"dataset_sizes": [10, 25, 10]},
+            {"parameter_priors": ["noninformative", "noninformative"]},
+            {"model_priors": ["uniform", "savvy", "uniform"]},
+        ],
+    )
+    def test_duplicate_selections_rejected(self, bad, tmp_path):
+        # each duplicate used to be a repeated grid cell, run and written
+        # twice and listed twice in the manifest
+        axis = next(iter(bad))
+        with pytest.raises(ValueError, match=f"{axis} has duplicate"):
+            ExperimentConfig(**bad)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(bad))
+        with pytest.raises(ValueError, match=f"{axis} has duplicate"):
+            load_config(path)
+
+    def test_default_config_hash_unchanged(self):
+        assert ExperimentConfig().config_hash().startswith("da06ba2b")
+
+    @pytest.mark.parametrize(
         "bad, match",
         [
             ({"kde_max_components": 1}, "kde_max_components"),
