@@ -41,7 +41,8 @@ def _build_parser() -> argparse.ArgumentParser:
             type=int,
             metavar="N",
             help="processes running (size, parameter prior) panels: this one "
-            "plus N-1 forked workers; outputs do not depend on it",
+            "plus up to N-1 forked children, one per panel; outputs do not "
+            "depend on it",
         )
     return parser
 

@@ -220,10 +220,12 @@ def _valid_rows(family: ModelFamily, thetas: np.ndarray) -> np.ndarray:
 
 
 def _outside(family: ModelFamily, x: np.ndarray) -> np.ndarray:
-    """Mask of the points outside the support: x <= 0 for the
-    positive-support families, x = +-inf for Normal and Logistic.  NaN is
-    never outside, so the formulas carry it through."""
-    return x <= 0.0 if family in POSITIVE_SUPPORT else np.isinf(x)
+    """Mask of the points outside the open support: x <= 0 for the
+    positive-support families, x = -inf for Normal and Logistic, and
+    x = +inf for every family.  NaN is never outside, so the formulas
+    carry it through."""
+    lower = 0.0 if family in POSITIVE_SUPPORT else -np.inf
+    return (x <= lower) | (x == np.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -490,6 +492,10 @@ def log_pdf_grid(family: ModelFamily, thetas: np.ndarray, x: np.ndarray) -> np.n
             t *= p2
             out = np.multiply(2.0 * p1**2, xr)
             t /= out
+            # inf / inf where both terms overflow (x or mu near the float
+            # limit): the density is 0 there.  A NaN point stays NaN
+            # through the log term below.
+            t[np.isnan(t)] = np.inf
             np.subtract(np.log(p2) - _LOG_2PI, 3.0 * np.log(xr), out=out)
             out *= 0.5
             out -= t
@@ -512,6 +518,9 @@ def log_pdf_grid(family: ModelFamily, thetas: np.ndarray, x: np.ndarray) -> np.n
             out += np.log(p1) - np.log(p2)
             np.power(r, p1, out=r)
             out -= r
+            # (x / s)^k overflowed, so the density is 0; the cell may hold
+            # inf - inf or 0 * inf
+            out[r == np.inf] = _NEG_INF
         else:  # pragma: no cover
             raise KeyError(family)
     outside = _outside(family, x)

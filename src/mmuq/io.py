@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import math
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -19,8 +20,8 @@ class DatasetFormatError(ValueError):
 
 def read_dataset_csv(path: str | Path) -> Dataset:
     """Parse a single-column CSV (header + one number per row) into a
-    Dataset, preserving row order.  Malformed rows are reported with their
-    line number."""
+    Dataset, preserving row order.  Malformed rows (not one number, or a
+    non-finite one) are reported with their line number."""
     path = Path(path)
     values: list[float] = []
     with path.open(newline="") as fh:
@@ -37,11 +38,14 @@ def read_dataset_csv(path: str | Path) -> Dataset:
             if len(row) != 1:
                 raise DatasetFormatError(f"{path}:{lineno}: expected one value per row")
             try:
-                values.append(float(row[0]))
+                value = float(row[0])
             except ValueError:
                 raise DatasetFormatError(
                     f"{path}:{lineno}: not a number: {row[0]!r}"
                 ) from None
+            if not math.isfinite(value):
+                raise DatasetFormatError(f"{path}:{lineno}: non-finite value {row[0]!r}")
+            values.append(value)
     if not values:
         raise DatasetFormatError(f"{path}: no data rows")
     return Dataset(values, label=path.stem)

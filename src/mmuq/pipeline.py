@@ -10,10 +10,12 @@ Every shared artifact (dataset, prior, chain, evidences, criteria,
 ensemble, true output statistics) is built once per pipeline and kept in
 one store, keyed by the method that builds it and its arguments; the
 manifest records sit in the same store.  The unit of parallel work is a
-panel, one (size, parameter prior) pair with all its model-prior cells:
-with ``workers=N`` the calling process and N-1 forked worker processes run
-panels, each worker sends back the store entries it added, and the caller
-merges them into its own store.
+panel, one (size, parameter prior) pair with all its model-prior cells.
+With ``workers=N`` the calling process runs panels itself and keeps up to
+N-1 more running at once, each in a child forked for that one panel; a
+child sends back its result and the store entries it added, the caller
+merges them into its own store, and a child that dies fails only its own
+panel.
 """
 
 from __future__ import annotations
@@ -21,10 +23,13 @@ from __future__ import annotations
 import functools
 import json
 import logging
+import os
 import time
 import traceback
 from collections import deque
 from dataclasses import dataclass, field
+from multiprocessing import Pipe
+from multiprocessing.connection import wait
 from pathlib import Path
 
 import numpy as np
@@ -117,30 +122,12 @@ def _memo(method):
     return memoized
 
 
-# The pipeline a forked worker process serves, set by its pool initializer.
-_forked_pipeline: StudyPipeline | None = None
-
-
-def _init_forked_worker(pipeline: StudyPipeline) -> None:
-    global _forked_pipeline
-    _forked_pipeline = pipeline
-
-
 def _call(fn, unit: tuple):
     """``fn(*unit)``, or the exception it raised."""
     try:
         return fn(*unit)
     except Exception as exc:
         return exc
-
-
-def _run_forked(method: str, unit: tuple):
-    """Run one unit in a forked worker; return its result and the store
-    entries it added."""
-    pipeline = _forked_pipeline
-    before = set(pipeline._built)
-    result = getattr(pipeline, method)(*unit)
-    return result, {k: v for k, v in pipeline._built.items() if k not in before}
 
 
 class StudyPipeline:
@@ -352,70 +339,69 @@ class StudyPipeline:
 
     def _process_count(self, n_units: int) -> int:
         """Processes that share ``n_units`` units of work: the caller and
-        forked workers, ``workers`` in all at most; 1 without fork."""
-        processes = min(self.config.workers, n_units)
-        if processes > 1:
-            import multiprocessing
-
-            if "fork" not in multiprocessing.get_all_start_methods():
-                return 1
-        return processes
+        forked children, ``workers`` in all at most; 1 without fork."""
+        return min(self.config.workers, n_units) if hasattr(os, "fork") else 1
 
     def _map_units(self, method: str, units: list[tuple]) -> list[tuple[object, str]]:
         """``getattr(self, method)(*unit)`` for every unit, as (result or
         raised exception, ``"caller"`` or ``"worker"``) in unit order.
 
-        With P processes, P-1 forked workers each get a unit only when idle
-        and the caller runs the next pending unit between top-ups; the
-        store entries a worker added are merged into this pipeline's.  A
-        worker that dies breaks the pool: every unit in flight comes back as
-        the BrokenProcessPool error and the caller runs the rest.
+        With P processes, up to P-1 units run at once, each in a child
+        forked for it alone, and the caller runs the next pending unit
+        between starts (with P = 1 it runs every unit).  A child inherits
+        this pipeline, its store and any monkeypatching, so nothing is
+        pickled on the way in; it sends its result and the store entries it
+        added through a pipe, and the caller merges them into this
+        pipeline's store.  A child that ends without sending fails only its
+        own unit.
         """
         processes = self._process_count(len(units))
         run = getattr(self, method)
-        if processes <= 1:
-            return [(_call(run, unit), "caller") for unit in units]
-        import multiprocessing
-        from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-        from concurrent.futures.process import BrokenProcessPool
-
         out: list = [None] * len(units)
         pending = deque(range(len(units)))
-        running: dict = {}  # future -> unit index
-        broken = False
-        # fork, not spawn: workers inherit this pipeline, its store and any
-        # monkeypatching without pickling.  The pool forks all its workers at
-        # the first submit, before it starts its own thread, and this
-        # process runs no other Python thread.
-        with ProcessPoolExecutor(
-            processes - 1,
-            mp_context=multiprocessing.get_context("fork"),
-            initializer=_init_forked_worker,
-            initargs=(self,),
-        ) as pool:
-            while pending or running:
-                while pending and not broken and len(running) < processes - 1:
+        running: dict = {}  # receiving end of a child's pipe -> (unit index, pid)
+        while pending or running:
+            while pending and len(running) < processes - 1:
+                i = pending.popleft()
+                reader, writer = Pipe(duplex=False)
+                pid = os.fork()
+                if pid == 0:
+                    # the child always ends in os._exit (1 if sending
+                    # failed), so it runs none of the caller's atexit
+                    # handlers and flushes none of the stdio buffers it
+                    # inherited
                     try:
-                        future = pool.submit(_run_forked, method, units[pending[0]])
-                    except BrokenProcessPool:
-                        broken = True
-                        break
-                    running[future] = pending.popleft()
-                if pending:
-                    i = pending.popleft()
-                    out[i] = (_call(run, units[i]), "caller")
+                        before = set(self._built)
+                        result = _call(run, units[i])
+                        writer.send(
+                            (result, {k: v for k, v in self._built.items() if k not in before})
+                        )
+                        os._exit(0)
+                    finally:
+                        os._exit(1)
+                writer.close()
+                running[reader] = (i, pid)
+            if pending:
+                i = pending.popleft()
+                out[i] = (_call(run, units[i]), "caller")
+                ready = wait(list(running), timeout=0)
+            else:
+                ready = wait(list(running))
+            for reader in ready:
+                i, pid = running.pop(reader)
+                try:
+                    result, built = reader.recv()
+                except (EOFError, OSError):
+                    result, built = None, None
+                reader.close()
+                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                if built is None:
+                    result = ChildProcessError(
+                        f"worker process {pid} terminated abruptly (exit status {status})"
+                    )
                 else:
-                    wait(running, return_when=FIRST_COMPLETED)
-                for future in [f for f in running if f.done()]:
-                    i = running.pop(future)
-                    try:
-                        result, built = future.result()
-                    except Exception as exc:
-                        broken |= isinstance(exc, BrokenProcessPool)
-                        out[i] = (exc, "worker")
-                        continue
                     self._built.update(built)
-                    out[i] = (result, "worker")
+                out[i] = (result, "worker")
         return out
 
     # -- per-cell work ---------------------------------------------------------

@@ -304,12 +304,13 @@ def assert_matches_reference(family, got, want, bound=None):
 
 def masked_log_pdf_grid(family, thetas, x):
     """The grid log density written as a boolean column mask over the
-    support: the formula runs on the inside columns only."""
+    support (x = +inf is outside for every family): the formula runs on the
+    inside columns only."""
     p1 = thetas[:, 0][:, None]
     p2 = thetas[:, 1][:, None]
     out = np.full((thetas.shape[0], x.size), -np.inf)
     positive = family not in (ModelFamily.NORMAL, ModelFamily.LOGISTIC)
-    inside = ~(x <= 0.0) if positive else ~np.isinf(x)
+    inside = ~((x <= 0.0) | (x == np.inf)) if positive else ~np.isinf(x)
     xi = x[inside][None, :]
 
     def logistic_std(z):
@@ -388,6 +389,28 @@ class TestLogPdfGrid:
         got = log_pdf_grid(family, thetas, x)
         assert not np.any(np.isnan(got))
         assert_matches_reference(family, got, masked_log_pdf_grid(family, thetas, x))
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_far_right_tail_is_never_nan(self, family, rng):
+        # x = +inf is outside every support.  At 1e308 and 1.7e308 terms
+        # such as x / s, (x / s)^k and 2 mu^2 x overflow (the scale 0.5 row
+        # makes x / s overflow); the density there is 0, never NaN.
+        x = np.array([1e308, 1.7e308, np.inf])
+        box = default_uniform_prior(family)
+        thetas = np.concatenate(
+            [
+                [GENERIC_THETAS[family], STUDY_THETAS[family], (2.0, 0.5)],
+                jittered_thetas(family, rng),
+                list(itertools.product(*zip(box.lo, box.hi))),
+            ]
+        )
+        got = log_pdf_grid(family, thetas, x)
+        assert not np.any(np.isnan(got))
+        assert np.all(got[:, 2] == -np.inf)
+        assert np.all(np.exp(got) == 0.0)
+        for theta, row in zip(thetas, got):
+            assert_same_bits(log_pdf(family, theta, x), row)
+            assert_same_bits(np.array([log_pdf(family, theta, x[1])]), row[1:2])
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_cell_depends_only_on_its_row_and_point(self, family, rng):

@@ -5,6 +5,7 @@ import hashlib
 import json
 import logging
 import os
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -76,6 +77,13 @@ class TestIngestDataset:
         path = tmp_path / "bad.csv"
         path.write_text("yield_ksi\n31.5\noops\n38.25\n")
         with pytest.raises(DatasetFormatError, match=r":3"):
+            read_dataset_csv(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_row_names_the_line(self, value, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"yield_ksi\n31.5\n35\n{value}\n38.25\n")
+        with pytest.raises(DatasetFormatError, match=rf"bad\.csv:4: non-finite value '{value}'"):
             read_dataset_csv(path)
 
     def test_empty_file_is_an_error(self, tmp_path):
@@ -497,6 +505,34 @@ class TestWorkerProcesses:
         manifest = json.loads((cfg.out_root / "manifest_quantify.json").read_text())
         assert {g["ok"] for g in manifest["grid"]} == {True, False}
         assert manifest["panels"][f"{bad_size}/noninformative"]["process"] == process
+
+    def test_dead_worker_leaves_its_running_sibling_alone(self, tmp_path, monkeypatch):
+        # Two children run the n=10 and n=25 panels and the caller the n=50
+        # one.  The n=10 child dies while the n=25 child is still inside
+        # log_evidences; only the n=10 panel may fail.
+        cfg = tiny_grid(
+            tmp_path, 3, dataset_sizes=(10, 25, 50),
+            parameter_priors=("noninformative",), model_priors=("uniform",),
+        )
+        original = StudyPipeline.log_evidences
+
+        def sabotaged(self, size, param_prior):
+            if size == 10:
+                os._exit(1)
+            if size == 25:
+                time.sleep(1.0)
+            return original(self, size, param_prior)
+
+        monkeypatch.setattr(StudyPipeline, "log_evidences", sabotaged)
+        report = StudyPipeline(cfg).run_quantify()
+        bad = report.cell(10, "noninformative", "uniform")
+        assert not bad.ok and "terminated abruptly" in bad.detail
+        assert report.cell(25, "noninformative", "uniform").ok
+        assert report.cell(50, "noninformative", "uniform").ok
+        manifest = json.loads((cfg.out_root / "manifest_quantify.json").read_text())
+        assert manifest["panels"]["10/noninformative"] == {"seconds": None, "process": "worker"}
+        assert manifest["panels"]["25/noninformative"]["process"] == "worker"
+        assert manifest["panels"]["50/noninformative"]["process"] == "caller"
 
 
 class TestCli:
