@@ -25,19 +25,19 @@ rejected rather than crashing the pipeline, while ``log_pdf_grid`` and
 ``sample_one_per`` take rows already drawn from a valid chain and raise on an
 invalid one.
 
-For Normal and Lognormal the log density is a quadratic in u = t(x) - c0,
-with t(x) = x or ln x and c0 a fixed centre, so ``log_pdf_grid`` evaluates
-it as one (rows x 3) . (3 x points) product of per-row coefficients and
-per-point features [u^2, u, 1].  It rounds differently from the direct
-formula: within a few ulps of the largest term, ((p1 - c0) / p2)^2 / 2
-(about 1.5e-12 * (1 + |log p|) at worst over the noninformative boxes).  A
-cell's value depends only on its own parameter row and point, never on the
-other rows or points of the call.
+Normal, Lognormal, Gamma and InverseGaussian are exponential families:
+log p(x | theta) = c(theta) . T(x), per-row coefficients (``_coefficients``)
+times a few per-point features (``_features``).  That one formula gives the
+density grid, one (rows x K) . (K x points) product, and the likelihood,
+c(theta) . sum_i T(x_i) from feature sums cached on the :class:`Dataset`.
+It rounds differently from the direct formula, within a few ulps of the
+largest term sum_k |c_k T_k(x)|.  A cell's value depends only on its own
+parameter row and point, never on the other rows or points of the call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 
@@ -130,12 +130,26 @@ POSITIVE_SUPPORT = frozenset(
     }
 )
 
+# Feature count K of the families whose log density is linear (``_features``).
+_LINEAR_FEATURES = {
+    ModelFamily.NORMAL: 3,
+    ModelFamily.LOGNORMAL: 3,
+    ModelFamily.GAMMA: 3,
+    ModelFamily.INVERSE_GAUSSIAN: 4,
+}
+
 # Centre c0 of the Normal and Lognormal quadratic log densities: the middle
 # of the 20-60 ksi envelope of yield-strength means, and its log.  A fixed
 # centre keeps each cell a function of its own (theta, x) only.  The three
 # terms grow as ((p1 - c0) / p2)^2 and cancel near the mode, so a centre in
 # the middle of the parameter boxes keeps the rounding smallest.
 _QUADRATIC_CENTRE = {ModelFamily.NORMAL: 40.0, ModelFamily.LOGNORMAL: float(np.log(40.0))}
+
+# Bound on the cancelling term s of a valid row: the linear-form terms grow
+# as s and cancel near the mode, so the rounding error is a few ulps of s
+# (2e-7 nats at 1e8).  s = ((p1 - c0) / p2)^2 for Normal and Lognormal, lam /
+# mu for InverseGaussian; the noninformative boxes reach 1e4, 5.6e3 and 3e4.
+_MAX_CANCELLING = 1e8
 
 
 class InvalidParameterError(ValueError):
@@ -148,6 +162,7 @@ class Dataset:
 
     values: np.ndarray
     label: str = ""
+    _feature_sums: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values, dtype=float)
@@ -165,14 +180,6 @@ class Dataset:
         return bool(np.all(self.values > 0.0))
 
     @cached_property
-    def sum_x(self) -> float:
-        return float(np.sum(self.values))
-
-    @cached_property
-    def sum_x2(self) -> float:
-        return float(np.sum(self.values**2))
-
-    @cached_property
     def log_values(self) -> np.ndarray:
         if not self.all_positive:
             raise ValueError(f"Dataset {self.label!r} has non-positive values")
@@ -182,13 +189,13 @@ class Dataset:
     def sum_log(self) -> float:
         return float(np.sum(self.log_values))
 
-    @cached_property
-    def sum_log2(self) -> float:
-        return float(np.sum(self.log_values**2))
-
-    @cached_property
-    def sum_inv(self) -> float:
-        return float(np.sum(1.0 / self.values))
+    def feature_sums(self, family: ModelFamily) -> np.ndarray:
+        """sum_i T(x_i) of a linear family's features (``_features``) in
+        column 0 of a (K x 2) matrix of zeros, cached per family."""
+        if family not in self._feature_sums:
+            sums = self._feature_sums[family] = np.zeros((_LINEAR_FEATURES[family], 2))
+            sums[:, 0] = _features(family, self.values)[:, : self.n].sum(axis=1)
+        return self._feature_sums[family]
 
 
 # ---------------------------------------------------------------------------
@@ -211,11 +218,21 @@ def require_valid_theta(family: ModelFamily, theta) -> np.ndarray:
 
 
 def _valid_rows(family: ModelFamily, thetas: np.ndarray) -> np.ndarray:
-    ok = np.all(np.isfinite(thetas), axis=1)
+    """Finite rows with positive parameters > 0 and cancelling term s below
+    ``_MAX_CANCELLING``; each bound scales the parameter-free side down, so
+    no row overflows.  For Normal and Lognormal one bound on the scale,
+    p2 > (|p1 - c0| + 1e-150) / 1e4, gives p2 > 0, s < max and a finite
+    1 / p2^2 (also at p1 = c0)."""
+    ok = np.isfinite(thetas).all(axis=1)
+    if family in _QUADRATIC_CENTRE:
+        d = np.abs(thetas[:, 0] - _QUADRATIC_CENTRE[family]) + 1e-150
+        return ok & (thetas[:, 1] > d * _MAX_CANCELLING**-0.5)
     pos = POSITIVE_PARAMS[family]
     for i in range(PARAM_DIM):
         if pos[i]:
             ok &= thetas[:, i] > 0.0
+    if family is ModelFamily.INVERSE_GAUSSIAN:
+        ok &= thetas[:, 0] > thetas[:, 1] * (1.0 / _MAX_CANCELLING)
     return ok
 
 
@@ -245,53 +262,66 @@ def _logistic_logpdf_std(z: np.ndarray) -> np.ndarray:
     return a
 
 
-def _quadratic_log_pdf(family: ModelFamily, thetas: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Normal or Lognormal log densities as one (rows x 3) . (3 x points)
-    product.
-
-    With t(x) = x (Normal) or ln x (Lognormal), u = t(x) - c0 about the
-    fixed centre c0 = ``_QUADRATIC_CENTRE`` and d = p1 - c0, the log
-    density is the quadratic
-
-        a u^2 + b u + k,  a = -1 / (2 p2^2),  b = d / p2^2 [- 1],
-                          k = -ln p2 - ln(2 pi) / 2 - d^2 / (2 p2^2) [- c0],
-
-    where the bracketed terms are the Lognormal's -ln x.  Points where u^2
-    overflows get -inf.
-    """
-    lognormal = family is ModelFamily.LOGNORMAL
-    c0 = _QUADRATIC_CENTRE[family]
+def _features(family: ModelFamily, x: np.ndarray) -> np.ndarray:
+    """The (K x max(points, 2)) features T(x) of a linear family: [u^2, u, 1]
+    with u = t(x) - c0 (t(x) = x or ln x) for Normal and Lognormal, [ln x,
+    x, 1] for Gamma and [ln x, x, 1/x, 1] for InverseGaussian.  np.einsum
+    sums the K terms of a cell in one order only while the point axis is its
+    inner loop; one point would make the term axis the inner loop (a dot
+    kernel that adds in another order), so a single point gets a padding
+    column, 0 but for the constant feature."""
     n = x.size
-    # Features [u^2, u, 1], one column per point.  np.einsum sums the three
-    # terms of every cell in the same order only while the point axis is
-    # its inner loop; a single point would make the term axis the inner
-    # loop (a dot kernel that adds in another order), so it is padded to two.
-    feats = np.zeros((3, max(n, 2)))
-    u = feats[1, :n]
-    if lognormal:
-        np.log(x, out=u)
+    feats = np.zeros((_LINEAR_FEATURES[family], max(n, 2)))
+    if family in _QUADRATIC_CENTRE:
+        u = feats[1, :n]
+        u[:] = np.log(x) if family is ModelFamily.LOGNORMAL else x
+        u -= _QUADRATIC_CENTRE[family]
+        np.multiply(u, u, out=feats[0, :n])
     else:
-        u[:] = x
-    u -= c0
-    np.multiply(u, u, out=feats[0, :n])
-    feats[2] = 1.0
+        np.log(x, out=feats[0, :n])
+        feats[1, :n] = x
+        if family is ModelFamily.INVERSE_GAUSSIAN:
+            np.divide(1.0, x, out=feats[2, :n])
+    feats[-1] = 1.0
+    return feats
 
+
+def _coefficients(family: ModelFamily, thetas: np.ndarray) -> np.ndarray:
+    """The (rows x K) coefficients: log p(x | theta) = c(theta) . T(x).
+
+    Normal, with d = p1 - c0: [-1 / (2 p2^2), d / p2^2, -ln p2 - ln(2 pi) / 2
+    - d^2 / (2 p2^2)]; the Lognormal's -ln x = -(u + c0) adds -1 and -c0 to
+    the last two.  Gamma: [k - 1, -1 / s, -k ln s - ln Gamma(k)].
+    InverseGaussian, from lam (x - mu)^2 / (2 mu^2 x) = lam x / (2 mu^2) -
+    lam / mu + lam / (2 x): [-3/2, -lam / (2 mu^2), -lam / 2, (ln lam -
+    ln(2 pi)) / 2 + lam / mu]."""
     p1, p2 = thetas[:, 0], thetas[:, 1]
-    d = p1 - c0
-    inv_var = 1.0 / (p2 * p2)
-    coef = np.empty((thetas.shape[0], 3))
-    coef[:, 0] = -0.5 * inv_var
-    coef[:, 1] = d * inv_var
-    coef[:, 2] = -np.log(p2) - 0.5 * _LOG_2PI - 0.5 * d * d * inv_var
-    if lognormal:
-        coef[:, 1] -= 1.0
-        coef[:, 2] -= c0
-
-    out = np.einsum("ik,kj->ij", coef, feats, optimize=False)[:, :n]
-    overflow = np.isinf(feats[0, :n])
-    if np.any(overflow):
-        out[:, overflow] = _NEG_INF
-    return out
+    coef = np.empty((thetas.shape[0], _LINEAR_FEATURES[family]))
+    # in place: on the likelihood's few rows the count of numpy calls is the cost
+    a, b, k = coef[:, 0], coef[:, 1], coef[:, -1]
+    if family in _QUADRATIC_CENTRE:
+        c0 = _QUADRATIC_CENTRE[family]
+        d = p1 - c0
+        inv_var = 1.0 / (p2 * p2)
+        np.multiply(-0.5, inv_var, out=a)
+        np.multiply(d, inv_var, out=b)
+        np.subtract(-0.5 * _LOG_2PI, np.log(p2), out=k)
+        k -= 0.5 * d * d * inv_var
+        if family is ModelFamily.LOGNORMAL:
+            b -= 1.0
+            k -= c0
+    elif family is ModelFamily.GAMMA:
+        np.subtract(p1, 1.0, out=a)
+        np.divide(-1.0, p2, out=b)
+        np.multiply(-p1, np.log(p2), out=k)
+        k -= special.gammaln(p1)
+    else:  # InverseGaussian
+        a[:] = -1.5
+        np.multiply(-0.5, p2, out=coef[:, 2])
+        np.divide(coef[:, 2], p1 * p1, out=b)
+        np.divide(p2, p1, out=k)
+        k += 0.5 * (np.log(p2) - _LOG_2PI)
+    return coef
 
 
 def log_pdf(family: ModelFamily, theta, x):
@@ -392,43 +422,22 @@ def log_likelihood(family: ModelFamily, theta, data: Dataset) -> float:
 def log_likelihood_batch(family: ModelFamily, thetas: np.ndarray, data: Dataset) -> np.ndarray:
     """Log likelihood for each parameter row; invalid rows give -inf.
 
-    Uses closed-form sufficient statistics where the family admits them
-    (Normal, Lognormal, Gamma, InverseGaussian) and chunked matrix
-    evaluation otherwise, so cost stays flat in dataset size for the hot
-    families.
+    The linear families (Normal, Lognormal, Gamma, InverseGaussian) take
+    c(theta) . sum_i T(x_i), the grid's formula on the dataset's cached
+    feature sums, so their cost stays flat in dataset size; the others use
+    chunked (rows x data) evaluation.
     """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     m, n = thetas.shape[0], data.n
     out = np.full(m, _NEG_INF)
     ok = _valid_rows(family, thetas)
-    if not np.any(ok):
-        return out
     if family in POSITIVE_SUPPORT and not data.all_positive:
         return out
-    p1, p2 = thetas[ok, 0], thetas[ok, 1]
-
-    if family is ModelFamily.NORMAL:
-        ss = data.sum_x2 - 2.0 * p1 * data.sum_x + n * p1**2
-        out[ok] = -n * np.log(p2) - 0.5 * n * _LOG_2PI - ss / (2.0 * p2**2)
-    elif family is ModelFamily.LOGNORMAL:
-        ss = data.sum_log2 - 2.0 * p1 * data.sum_log + n * p1**2
-        out[ok] = (
-            -data.sum_log - n * np.log(p2) - 0.5 * n * _LOG_2PI - ss / (2.0 * p2**2)
-        )
-    elif family is ModelFamily.GAMMA:
-        out[ok] = (
-            (p1 - 1.0) * data.sum_log
-            - data.sum_x / p2
-            - n * (p1 * np.log(p2) + special.gammaln(p1))
-        )
-    elif family is ModelFamily.INVERSE_GAUSSIAN:
-        quad = data.sum_x - 2.0 * n * p1 + p1**2 * data.sum_inv
-        out[ok] = (
-            0.5 * n * (np.log(p2) - _LOG_2PI)
-            - 1.5 * data.sum_log
-            - p2 * quad / (2.0 * p1**2)
-        )
+    if family in _LINEAR_FEATURES:
+        coef = _coefficients(family, thetas[ok])
+        out[ok] = np.einsum("ik,kj->ij", coef, data.feature_sums(family), optimize=False)[:, 0]
     else:
+        p1, p2 = thetas[ok, 0], thetas[ok, 1]
         # no compact sufficient statistics: chunked (rows x data) evaluation
         if family is ModelFamily.LOGLOGISTIC:
             xs, extra = data.log_values, -data.sum_log
@@ -477,28 +486,16 @@ def log_pdf_grid(family: ModelFamily, thetas: np.ndarray, x: np.ndarray) -> np.n
     p1 = thetas[:, 0][:, None]
     p2 = thetas[:, 1][:, None]
     xr = x[None, :]
+    outside = _outside(family, x)
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if family is ModelFamily.NORMAL or family is ModelFamily.LOGNORMAL:
-            out = _quadratic_log_pdf(family, thetas, x)
-        elif family is ModelFamily.GAMMA:
-            out = np.multiply(p1 - 1.0, np.log(xr))
-            out -= xr / p2
-            out -= p1 * np.log(p2)
-            out -= special.gammaln(p1)
-        elif family is ModelFamily.INVERSE_GAUSSIAN:
-            t = xr - p1
-            t *= t
-            t *= p2
-            out = np.multiply(2.0 * p1**2, xr)
-            t /= out
-            # inf / inf where both terms overflow (x or mu near the float
-            # limit): the density is 0 there.  A NaN point stays NaN
-            # through the log term below.
-            t[np.isnan(t)] = np.inf
-            np.subtract(np.log(p2) - _LOG_2PI, 3.0 * np.log(xr), out=out)
-            out *= 0.5
-            out -= t
+        if family in _LINEAR_FEATURES:
+            feats = _features(family, x)
+            coef = _coefficients(family, thetas)
+            out = np.einsum("ik,kj->ij", coef, feats, optimize=False)[:, : x.size]
+            # An infinite feature (u^2 overflowed, or 1/x at a subnormal x)
+            # means a density of 0; the cell may hold inf - inf.
+            outside |= np.isinf(feats[:, : x.size]).any(axis=0)
         elif family is ModelFamily.LOGISTIC:
             out = xr - p1
             out /= p2
@@ -515,6 +512,9 @@ def log_pdf_grid(family: ModelFamily, thetas: np.ndarray, x: np.ndarray) -> np.n
             r = xr / p2
             out = np.log(r)
             out *= p1 - 1.0
+            # 0 at shape 1, also where x / s underflowed to 0 (0 * -inf)
+            if (p1 == 1.0).any():
+                out[(r == 0.0) & (p1 == 1.0)] = 0.0
             out += np.log(p1) - np.log(p2)
             np.power(r, p1, out=r)
             out -= r
@@ -523,7 +523,6 @@ def log_pdf_grid(family: ModelFamily, thetas: np.ndarray, x: np.ndarray) -> np.n
             out[r == np.inf] = _NEG_INF
         else:  # pragma: no cover
             raise KeyError(family)
-    outside = _outside(family, x)
     if np.any(outside):
         out[:, outside] = _NEG_INF
     return out

@@ -76,6 +76,38 @@ class TestLogPdf:
             log_pdf(family, (1.0, -1.0), 1.0)
         assert not theta_is_valid(family, (1.0, np.nan))
 
+    @pytest.mark.parametrize(
+        "family,inside,past",
+        [
+            (ModelFamily.NORMAL, (41.0, 1.001e-4), [(41.0, 0.999e-4), (35, 1e-150), (40, 1e-160)]),
+            (ModelFamily.LOGNORMAL, (np.log(40.0) + 1, 1.001e-4), [(np.log(40.0) + 1, 0.999e-4)]),
+            (ModelFamily.INVERSE_GAUSSIAN, (30.0, 2.997e9), [(30.0, 3.003e9)]),
+        ],
+    )
+    def test_rows_past_the_cancelling_limit_are_invalid(self, family, inside, past):
+        # The linear form's terms grow as s = ((p1 - c0) / p2)^2 (c0 = 40 or
+        # ln 40) or lam / mu and cancel near the mode; a row with s > 1e8 is
+        # invalid.  At (35, 1e-150) the form read 0.0 at the mode.  A scale
+        # below 1e-154 is invalid also at p1 = c0, where 1 / p2^2 overflows
+        # and the form read NaN.
+        data = Dataset([35.0])
+        assert theta_is_valid(family, inside)
+        assert np.isfinite(log_pdf(family, inside, inside[0]))
+        for theta in past:
+            assert not theta_is_valid(family, theta)
+            with pytest.raises(InvalidParameterError):
+                log_pdf_grid(family, np.array([theta]), np.array([theta[0]]))
+            assert log_likelihood_batch(family, np.array([theta]), data)[0] == -np.inf
+
+    def test_weibull_shape_one_at_subnormal_point(self):
+        # x / s underflows to 0 there, and (k - 1) ln(x / s) is 0 * -inf; the
+        # density is 1 / s
+        theta = (1.0, 2.0)
+        got = log_pdf_grid(ModelFamily.WEIBULL, np.array([theta]), np.array([5e-324, 1.0]))
+        assert got[0, 0] == np.log(0.5)
+        assert log_pdf(ModelFamily.WEIBULL, theta, 5e-324) == np.log(0.5)
+        assert got[0, 1] == np.log(0.5) - 0.5
+
 
 class TestCdf:
     def test_normal_symmetry_at_mean(self):
@@ -215,9 +247,11 @@ class TestLogLikelihood:
     @pytest.mark.parametrize("family", FAMILIES)
     def test_batch_overflow_rows_are_neg_inf(self, family):
         # Extreme corners of the box overflow to inf - inf = nan inside the
-        # formulas (Gamma, Weibull and InverseGaussian at the second row,
-        # Normal and Lognormal at the third); such rows come back as -inf
-        # and the ordinary row in the same batch is untouched.
+        # formulas (Gamma and Weibull at the second row, Normal and
+        # Lognormal at the third); such rows come back as -inf and the
+        # ordinary row in the same batch is untouched.  InverseGaussian's
+        # linear form overflows at none of them: its likelihood there is
+        # finite and matches the direct formula written without overflow.
         data = Dataset([1.0, 2.0, 3.0])
         thetas = np.array(
             [GENERIC_THETAS[family], [1.7e308, 1e-300], [1e200, 1e200], [1e200, 1e-300]]
@@ -225,8 +259,13 @@ class TestLogLikelihood:
         with np.errstate(all="ignore"):
             out = log_likelihood_batch(family, thetas, data)
         assert not np.any(np.isnan(out)) and np.all(out < np.inf)
-        assert out[1] == -np.inf
-        if family in (ModelFamily.NORMAL, ModelFamily.LOGNORMAL, ModelFamily.INVERSE_GAUSSIAN):
+        if family is ModelFamily.INVERSE_GAUSSIAN:
+            want = masked_log_pdf_grid(family, thetas[1:], data.values).sum(axis=1)
+            assert np.all(np.isfinite(want))
+            np.testing.assert_allclose(out[1:], want, rtol=1e-14)
+        else:
+            assert out[1] == -np.inf
+        if family in (ModelFamily.NORMAL, ModelFamily.LOGNORMAL):
             assert out[2] == -np.inf
         assert np.isfinite(out[0])
         assert out[0] == log_likelihood_batch(family, thetas[:1], data)[0]
@@ -242,10 +281,14 @@ class TestLogLikelihood:
         x = edge_and_random_points(rng)
         want = masked_log_pdf_grid(family, thetas, x)
         for theta, row in zip(thetas, want):
-            assert_matches_reference(family, log_pdf(family, theta, x), row)
+            assert_matches_reference(family, log_pdf(family, theta, x), row, theta[None], x)
         for xv, expected in zip(x[:8], want[0, :8]):  # 0-d inputs
             assert_matches_reference(
-                family, np.array([log_pdf(family, thetas[0], xv)]), np.array([expected])
+                family,
+                np.array([log_pdf(family, thetas[0], xv)]),
+                np.array([expected]),
+                thetas[:1],
+                np.array([xv]),
             )
 
 
@@ -276,18 +319,60 @@ def assert_same_bits(got, want):
     np.testing.assert_array_equal(got[keep].view(np.uint64), want[keep].view(np.uint64))
 
 
-# Families whose log density is a quadratic in x or ln x, evaluated as one
-# (rows x 3) . (3 x points) product; it rounds differently from the direct
-# formula, so they match it within QUADRATIC_RTOL * (1 + |log p|).
-QUADRATIC_FAMILIES = (ModelFamily.NORMAL, ModelFamily.LOGNORMAL)
-QUADRATIC_RTOL = 1e-12
+# Families whose log density is linear, c(theta) . T(x), in a few per-point
+# features, evaluated as one (rows x K) . (K x points) product.  It rounds
+# differently from the direct formula: the two agree within
+# LINEAR_ULPS * eps * (1 + sum_k |c_k T_k(x)|).
+LINEAR_FAMILIES = (
+    ModelFamily.NORMAL,
+    ModelFamily.LOGNORMAL,
+    ModelFamily.GAMMA,
+    ModelFamily.INVERSE_GAUSSIAN,
+)
+LINEAR_ULPS = 8.0
+# Centre c0 of the Normal and Lognormal features: the middle of the envelope.
+CENTRE = {
+    ModelFamily.NORMAL: np.mean(ENVELOPE_MEAN),
+    ModelFamily.LOGNORMAL: np.log(np.mean(ENVELOPE_MEAN)),
+}
 
 
-def assert_matches_reference(family, got, want, bound=None):
-    """Bitwise equal to the masked reference for the directly evaluated
-    families; for the quadratic ones the same NaN and infinite cells and
-    finite cells within ``bound`` (default QUADRATIC_RTOL * (1 + |want|))."""
-    if family not in QUADRATIC_FAMILIES:
+def linear_term_sizes(family, thetas, x):
+    """sum_k |c_k T_k(x)| of a linear family, (rows x points), with the terms
+    written out: Normal and Lognormal as a quadratic in u = t(x) - c0,
+    Gamma as (k - 1) ln x - x / s - k ln s - ln Gamma(k), InverseGaussian as
+    -3/2 ln x - lam x / (2 mu^2) - lam / (2 x) + (ln lam - ln 2 pi) / 2 + lam / mu."""
+    p1 = thetas[:, 0][:, None]
+    p2 = thetas[:, 1][:, None]
+    x = x[None, :]
+    with np.errstate(all="ignore"):
+        if family in CENTRE:
+            lognormal = family is ModelFamily.LOGNORMAL
+            c0 = CENTRE[family]
+            u = (np.log(x) if lognormal else x) - c0
+            d = p1 - c0
+            terms = [
+                u**2 / (2.0 * p2**2),
+                d * u / p2**2 - (u if lognormal else 0.0),
+                np.log(p2) + 0.5 * _LOG_2PI + d**2 / (2.0 * p2**2) + (c0 if lognormal else 0.0),
+            ]
+        elif family is ModelFamily.GAMMA:
+            terms = [(p1 - 1.0) * np.log(x), x / p2, p1 * np.log(p2) + gammaln(p1)]
+        else:
+            terms = [
+                1.5 * np.log(x),
+                p2 * x / (2.0 * p1**2),
+                p2 / (2.0 * x),
+                0.5 * (np.log(p2) - _LOG_2PI) + p2 / p1,
+            ]
+        return sum(np.abs(t) for t in np.broadcast_arrays(*terms))
+
+
+def assert_matches_reference(family, got, want, thetas, x):
+    """Bitwise equal to the masked reference at ``thetas`` and ``x`` for the
+    directly evaluated families; for the linear ones the same NaN and
+    infinite cells and finite cells within the linear-form bound."""
+    if family not in LINEAR_FAMILIES:
         assert_same_bits(got, want)
         return
     assert got.shape == want.shape
@@ -296,10 +381,10 @@ def assert_matches_reference(family, got, want, bound=None):
     np.testing.assert_array_equal(got[inf], want[inf])
     finite = np.isfinite(want)
     np.testing.assert_array_equal(np.isfinite(got), finite)
-    if bound is None:
-        bound = QUADRATIC_RTOL * (1.0 + np.abs(want))
+    sizes = linear_term_sizes(family, thetas, x).reshape(want.shape)
+    bound = LINEAR_ULPS * np.finfo(float).eps * (1.0 + sizes[finite])
     err = np.abs(got[finite] - want[finite])
-    assert np.all(err <= bound[finite]), err.max()
+    assert np.all(err <= bound), np.max(err / bound)
 
 
 def masked_log_pdf_grid(family, thetas, x):
@@ -328,9 +413,11 @@ def masked_log_pdf_grid(family, thetas, x):
                 (p1 - 1.0) * np.log(xi) - xi / p2 - p1 * np.log(p2) - gammaln(p1)
             )
         elif family is ModelFamily.INVERSE_GAUSSIAN:
-            out[:, inside] = 0.5 * (np.log(p2) - _LOG_2PI - 3.0 * np.log(xi)) - p2 * (
-                xi - p1
-            ) ** 2 / (2.0 * p1**2 * xi)
+            # lam (x - mu)^2 / (2 mu^2 x) as a product of three factors, so
+            # that it overflows only where the value does
+            out[:, inside] = 0.5 * (np.log(p2) - _LOG_2PI - 3.0 * np.log(xi)) - (
+                p2 / (2.0 * p1) * ((xi - p1) / p1) * ((xi - p1) / xi)
+            )
         elif family is ModelFamily.LOGISTIC:
             out[:, inside] = logistic_std((xi - p1) / p2) - np.log(p2)
         elif family is ModelFamily.LOGLOGISTIC:
@@ -349,34 +436,30 @@ class TestLogPdfGrid:
         x = edge_and_random_points(rng)
         for xs in (x, x[::3]):  # contiguous and strided points
             got = log_pdf_grid(family, thetas, xs)
-            assert_matches_reference(family, got, masked_log_pdf_grid(family, thetas, xs))
+            want = masked_log_pdf_grid(family, thetas, xs)
+            assert_matches_reference(family, got, want, thetas, xs)
             assert np.all(got[:, xs == -np.inf] == -np.inf)
             assert np.all(np.isnan(got[:, np.isnan(xs)]))
 
-    @pytest.mark.parametrize("family", QUADRATIC_FAMILIES)
+    @pytest.mark.parametrize("family", LINEAR_FAMILIES)
     def test_quadratic_over_noninformative_box(self, family, rng):
         # The box's corners and 3000 draws, at the edge and random points and
-        # at the density metric's grid.  The quadratic's three terms grow as
-        # s = ((p1 - c0) / p2)^2, with c0 the middle of the envelope (10^4
-        # at the Normal corners with p2 = 0.2), and cancel near the mode, so
-        # the error is a few ulps of s; on the jittered rows above it stays
-        # within QUADRATIC_RTOL.
+        # at the density metric's grid.  The linear form's terms grow as
+        # s = ((p1 - c0) / p2)^2 (Normal, Lognormal; 10^4 at the Normal
+        # corners with p2 = 0.2) or lam / mu (InverseGaussian) and cancel
+        # near the mode, so the error is a few ulps of the largest term.
         box = default_uniform_prior(family)
         corners = np.array(list(itertools.product(*zip(box.lo, box.hi))))
         thetas = np.concatenate([corners, rng.uniform(box.lo, box.hi, size=(3000, 2))])
         x = np.concatenate([edge_and_random_points(rng), default_sigma0_grid()])
         want = masked_log_pdf_grid(family, thetas, x)
-        centre = np.mean(ENVELOPE_MEAN)
-        if family is ModelFamily.LOGNORMAL:
-            centre = np.log(centre)
-        s = ((thetas[:, 0] - centre) / thetas[:, 1])[:, None] ** 2
-        bound = 8.0 * np.finfo(float).eps * (1.0 + np.abs(want) + s)
-        assert_matches_reference(family, log_pdf_grid(family, thetas, x), want, bound)
+        assert_matches_reference(family, log_pdf_grid(family, thetas, x), want, thetas, x)
 
-    @pytest.mark.parametrize("family", QUADRATIC_FAMILIES)
+    @pytest.mark.parametrize("family", LINEAR_FAMILIES)
     def test_quadratic_far_points_are_never_nan(self, family, rng):
-        # (t(x) - c0)^2 overflows here and the product would hold inf - inf;
-        # these cells keep the direct formula's -inf (finite values stay)
+        # (t(x) - c0)^2 or x / s overflows here and the product would hold
+        # inf - inf; these cells keep the direct formula's -inf (finite
+        # values stay)
         x = np.array([np.inf, 1e308, -1e308, 1.7e308, -1.7e308])
         box = default_uniform_prior(family)
         thetas = np.concatenate(
@@ -388,7 +471,25 @@ class TestLogPdfGrid:
         )
         got = log_pdf_grid(family, thetas, x)
         assert not np.any(np.isnan(got))
-        assert_matches_reference(family, got, masked_log_pdf_grid(family, thetas, x))
+        assert_matches_reference(family, got, masked_log_pdf_grid(family, thetas, x), thetas, x)
+
+    @pytest.mark.parametrize("family", LINEAR_FAMILIES)
+    @pytest.mark.parametrize("n", [1, 37, 10**4])
+    def test_likelihood_is_the_sum_of_the_grid_row(self, family, n, rng):
+        # The likelihood is the grid's linear form on the feature sums, so
+        # it equals the sum of the grid row over the data within the one
+        # rounding bound, taken over every term of every point.
+        box = default_uniform_prior(family)
+        thetas = rng.uniform(box.lo, box.hi, size=(200, 2))
+        x = sample(family, STUDY_THETAS[family], rng, n)
+        got = log_likelihood_batch(family, thetas, Dataset(x))
+        want = log_pdf_grid(family, thetas, x).sum(axis=1)
+        assert np.all(np.isfinite(want))
+        bound = LINEAR_ULPS * np.finfo(float).eps * (
+            1.0 + linear_term_sizes(family, thetas, x).sum(axis=1)
+        )
+        err = np.abs(got - want)
+        assert np.all(err <= bound), np.max(err / bound)
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_far_right_tail_is_never_nan(self, family, rng):
@@ -484,6 +585,20 @@ class TestDataset:
     def test_cached_statistics(self):
         d = Dataset([1.0, 2.0, 4.0])
         assert d.n == 3
-        assert d.sum_x == pytest.approx(7.0)
         assert d.sum_log == pytest.approx(np.log(8.0))
-        assert d.sum_inv == pytest.approx(1.75)
+        # sum_i T(x_i) for each linear family, then a zero column
+        want = {
+            ModelFamily.NORMAL: [39.0**2 + 38.0**2 + 36.0**2, -113.0, 3.0],
+            ModelFamily.LOGNORMAL: [
+                np.log(40.0) ** 2 + np.log(20.0) ** 2 + np.log(10.0) ** 2,
+                np.log(8.0 / 40.0**3),
+                3.0,
+            ],
+            ModelFamily.GAMMA: [np.log(8.0), 7.0, 3.0],
+            ModelFamily.INVERSE_GAUSSIAN: [np.log(8.0), 7.0, 1.75, 3.0],
+        }
+        for family, sums in want.items():
+            got = d.feature_sums(family)
+            np.testing.assert_allclose(got[:, 0], sums, rtol=1e-14)
+            np.testing.assert_array_equal(got[:, 1], 0.0)
+            assert d.feature_sums(family) is got
