@@ -167,7 +167,8 @@ def propagate(
 
     Draws ``n`` points from the mixture, evaluates ``g`` once, and computes
     per-member mean, variance and failure probability P(g < threshold) by
-    importance-sampling reweighting with weights p_i(x) / q(x).
+    importance-sampling reweighting with weights w = p_i(x) / q(x); the
+    variance is sum w (g - mean)^2 / n, which is never negative.
     ``x_samples`` reuses an existing mixture sample instead of drawing.
 
     Each member density is evaluated once per point: a block of points
@@ -188,9 +189,13 @@ def propagate(
         bad = x[~np.isfinite(gv)][0]
         raise ValueError(f"g returned a non-finite value at x={bad!r}")
 
-    # Columns [1, g, g^2, 1{g < threshold}]: one GEMM per block gives every
-    # member's weight sum and the three weighted sums at once.
-    moments = np.column_stack([np.ones(n), gv, gv * gv, gv < failure_threshold])
+    # Columns [1, g, (g - r)^2, 1{g < threshold}], r the sample mean of g:
+    # one GEMM per block gives every member's weight sum and the three
+    # weighted sums at once.
+    r = gv.mean()
+    shifted = gv - r
+    shifted *= shifted
+    moments = np.column_stack([np.ones(n), gv, shifted, gv < failure_threshold])
     sums = np.zeros((ens.n_members, 4))
     for order, cols, dens in _density_blocks(ens, x):
         q = np.sum(dens, axis=0)
@@ -198,13 +203,18 @@ def propagate(
         dens /= q
         sums[order] += dens @ moments[cols]
     sums /= n
-    means = sums[:, 1]
+    mean_weights, means = sums[:, 0], sums[:, 1]
+    # sum w (g - m)^2 / n about each member's own mean m, from the sums about
+    # r; the weights are not normalized (their mean W is not 1), so this is
+    # the exact expansion, and it is non-negative as the sum is.
+    d = means - r
+    variances = sums[:, 2] - d * (2.0 * (means - r * mean_weights) - d * mean_weights)
 
     return PropagationResult(
         x_samples=x,
         g_values=gv,
         means=means,
-        variances=sums[:, 2] - means**2,
+        variances=variances,
         pfs=sums[:, 3],
-        mean_weights=sums[:, 0],
+        mean_weights=mean_weights,
     )

@@ -100,13 +100,23 @@ class TestLogPdf:
             assert log_likelihood_batch(family, np.array([theta]), data)[0] == -np.inf
 
     def test_weibull_shape_one_at_subnormal_point(self):
-        # x / s underflows to 0 there, and (k - 1) ln(x / s) is 0 * -inf; the
-        # density is 1 / s
+        # at shape 1 the density at a subnormal point is 1 / s
         theta = (1.0, 2.0)
         got = log_pdf_grid(ModelFamily.WEIBULL, np.array([theta]), np.array([5e-324, 1.0]))
         assert got[0, 0] == np.log(0.5)
         assert log_pdf(ModelFamily.WEIBULL, theta, 5e-324) == np.log(0.5)
         assert got[0, 1] == np.log(0.5) - 0.5
+
+    @pytest.mark.parametrize("theta", [(0.5, 2.0), (2.5, 2.0), (10.2, 36.5), (127.5, 20.0)])
+    def test_weibull_at_the_smallest_subnormal_is_finite(self, theta):
+        # x / s underflows to 0 at 5e-324, but ln x does not: the log density
+        # (k - 1) ln x + ln k - k ln s - exp(k (ln x - ln s)) is finite.
+        k, s = theta
+        lx = np.log(5e-324)
+        want = (k - 1.0) * lx + np.log(k) - k * np.log(s) - np.exp(k * (lx - np.log(s)))
+        got = log_pdf_grid(ModelFamily.WEIBULL, np.array([theta]), np.array([5e-324]))[0, 0]
+        assert np.isfinite(got)
+        assert got == pytest.approx(want, rel=1e-13)
 
 
 class TestCdf:
@@ -319,16 +329,11 @@ def assert_same_bits(got, want):
     np.testing.assert_array_equal(got[keep].view(np.uint64), want[keep].view(np.uint64))
 
 
-# Families whose log density is linear, c(theta) . T(x), in a few per-point
-# features, evaluated as one (rows x K) . (K x points) product.  It rounds
-# differently from the direct formula: the two agree within
-# LINEAR_ULPS * eps * (1 + sum_k |c_k T_k(x)|).
-LINEAR_FAMILIES = (
-    ModelFamily.NORMAL,
-    ModelFamily.LOGNORMAL,
-    ModelFamily.GAMMA,
-    ModelFamily.INVERSE_GAUSSIAN,
-)
+# Every log density is linear, c(theta) . T(x), in a few per-point features
+# plus a per-cell term h(theta, t(x)), evaluated as one (rows x K) . (K x
+# points) product plus h.  It rounds differently from the direct formula:
+# the two agree within LINEAR_ULPS * eps * (1 + linear_term_sizes).
+# Logistic's linear form is -ln s alone and matches it bit for bit.
 LINEAR_ULPS = 8.0
 # Centre c0 of the Normal and Lognormal features: the middle of the envelope.
 CENTRE = {
@@ -338,10 +343,14 @@ CENTRE = {
 
 
 def linear_term_sizes(family, thetas, x):
-    """sum_k |c_k T_k(x)| of a linear family, (rows x points), with the terms
+    """sum_k |c_k T_k(x)| plus the size of h, (rows x points), with the terms
     written out: Normal and Lognormal as a quadratic in u = t(x) - c0,
     Gamma as (k - 1) ln x - x / s - k ln s - ln Gamma(k), InverseGaussian as
-    -3/2 ln x - lam x / (2 mu^2) - lam / (2 x) + (ln lam - ln 2 pi) / 2 + lam / mu."""
+    -3/2 ln x - lam x / (2 mu^2) - lam / (2 x) + (ln lam - ln 2 pi) / 2 + lam / mu,
+    Logistic and Loglogistic as -ln s (- ln x) + h with h the standard
+    logistic log density, Weibull as (k - 1) ln x + ln k - k ln s + h with
+    h = -exp(k (ln x - ln s)), whose argument carries a rounding error of
+    about eps k (|ln x| + |ln s|)."""
     p1 = thetas[:, 0][:, None]
     p2 = thetas[:, 1][:, None]
     x = x[None, :]
@@ -358,6 +367,19 @@ def linear_term_sizes(family, thetas, x):
             ]
         elif family is ModelFamily.GAMMA:
             terms = [(p1 - 1.0) * np.log(x), x / p2, p1 * np.log(p2) + gammaln(p1)]
+        elif family in (ModelFamily.LOGISTIC, ModelFamily.LOGLOGISTIC):
+            t = x if family is ModelFamily.LOGISTIC else np.log(x)
+            z = -np.abs((t - p1) / p2)
+            h = z - 2.0 * np.log1p(np.exp(z))
+            terms = [t if family is ModelFamily.LOGLOGISTIC else 0.0, np.log(p2), h]
+        elif family is ModelFamily.WEIBULL:
+            lx, ls = np.log(x), np.log(p2)
+            h = np.exp(p1 * (lx - ls))
+            terms = [
+                (p1 - 1.0) * lx,
+                np.log(p1) - p1 * ls,
+                h * (1.0 + p1 * (np.abs(lx) + np.abs(ls))),
+            ]
         else:
             terms = [
                 1.5 * np.log(x),
@@ -369,10 +391,10 @@ def linear_term_sizes(family, thetas, x):
 
 
 def assert_matches_reference(family, got, want, thetas, x):
-    """Bitwise equal to the masked reference at ``thetas`` and ``x`` for the
-    directly evaluated families; for the linear ones the same NaN and
-    infinite cells and finite cells within the linear-form bound."""
-    if family not in LINEAR_FAMILIES:
+    """Bitwise equal to the masked reference at ``thetas`` and ``x`` for
+    Logistic; for the other families the same NaN and infinite cells and
+    finite cells within the linear-form bound."""
+    if family is ModelFamily.LOGISTIC:
         assert_same_bits(got, want)
         return
     assert got.shape == want.shape
@@ -441,7 +463,7 @@ class TestLogPdfGrid:
             assert np.all(got[:, xs == -np.inf] == -np.inf)
             assert np.all(np.isnan(got[:, np.isnan(xs)]))
 
-    @pytest.mark.parametrize("family", LINEAR_FAMILIES)
+    @pytest.mark.parametrize("family", FAMILIES)
     def test_quadratic_over_noninformative_box(self, family, rng):
         # The box's corners and 3000 draws, at the edge and random points and
         # at the density metric's grid.  The linear form's terms grow as
@@ -455,7 +477,7 @@ class TestLogPdfGrid:
         want = masked_log_pdf_grid(family, thetas, x)
         assert_matches_reference(family, log_pdf_grid(family, thetas, x), want, thetas, x)
 
-    @pytest.mark.parametrize("family", LINEAR_FAMILIES)
+    @pytest.mark.parametrize("family", FAMILIES)
     def test_quadratic_far_points_are_never_nan(self, family, rng):
         # (t(x) - c0)^2 or x / s overflows here and the product would hold
         # inf - inf; these cells keep the direct formula's -inf (finite
@@ -473,12 +495,13 @@ class TestLogPdfGrid:
         assert not np.any(np.isnan(got))
         assert_matches_reference(family, got, masked_log_pdf_grid(family, thetas, x), thetas, x)
 
-    @pytest.mark.parametrize("family", LINEAR_FAMILIES)
+    @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("n", [1, 37, 10**4])
     def test_likelihood_is_the_sum_of_the_grid_row(self, family, n, rng):
-        # The likelihood is the grid's linear form on the feature sums, so
-        # it equals the sum of the grid row over the data within the one
-        # rounding bound, taken over every term of every point.
+        # The likelihood is the grid's linear form on the feature sums plus
+        # the grid's h summed over the data, so it equals the sum of the
+        # grid row over the data within the one rounding bound, taken over
+        # every term of every point.
         box = default_uniform_prior(family)
         thetas = rng.uniform(box.lo, box.hi, size=(200, 2))
         x = sample(family, STUDY_THETAS[family], rng, n)
@@ -490,6 +513,16 @@ class TestLogPdfGrid:
         )
         err = np.abs(got - want)
         assert np.all(err <= bound), np.max(err / bound)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_one_point_likelihood_is_the_grid_cell(self, family, rng):
+        # One formula: at one data point the likelihood and the grid density
+        # run the same operations, so they agree bit for bit.
+        box = default_uniform_prior(family)
+        thetas = rng.uniform(box.lo, box.hi, size=(200, 2))
+        for x in sample(family, STUDY_THETAS[family], rng, 5):
+            got = log_likelihood_batch(family, thetas, Dataset([x]))
+            assert_same_bits(got, log_pdf_grid(family, thetas, np.array([x]))[:, 0])
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_far_right_tail_is_never_nan(self, family, rng):
@@ -585,8 +618,7 @@ class TestDataset:
     def test_cached_statistics(self):
         d = Dataset([1.0, 2.0, 4.0])
         assert d.n == 3
-        assert d.sum_log == pytest.approx(np.log(8.0))
-        # sum_i T(x_i) for each linear family, then a zero column
+        # sum_i T(x_i) for each family, then a zero column
         want = {
             ModelFamily.NORMAL: [39.0**2 + 38.0**2 + 36.0**2, -113.0, 3.0],
             ModelFamily.LOGNORMAL: [
@@ -596,6 +628,9 @@ class TestDataset:
             ],
             ModelFamily.GAMMA: [np.log(8.0), 7.0, 3.0],
             ModelFamily.INVERSE_GAUSSIAN: [np.log(8.0), 7.0, 1.75, 3.0],
+            ModelFamily.LOGISTIC: [3.0],
+            ModelFamily.LOGLOGISTIC: [np.log(8.0), 3.0],
+            ModelFamily.WEIBULL: [np.log(8.0), 3.0],
         }
         for family, sums in want.items():
             got = d.feature_sums(family)

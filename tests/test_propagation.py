@@ -49,7 +49,8 @@ def mixed_ensemble():
 
 def dense_two_pass(ens, x, g, threshold):
     """Importance-sampling statistics from the full (members x points)
-    density matrix: q in a first pass, the weights p_i / q in a second."""
+    density matrix: q in a first pass, the weights p_i / q in a second, and
+    each variance as the weighted mean square about the member's mean."""
     p = np.array([pdf(fam, theta, x) for fam, theta in ens])
     q = np.mean(p, axis=0)
     w = p / q
@@ -57,7 +58,7 @@ def dense_two_pass(ens, x, g, threshold):
     means = np.mean(w * gv, axis=1)
     return {
         "means": means,
-        "variances": np.mean(w * gv * gv, axis=1) - means**2,
+        "variances": np.mean(w * (gv - means[:, None]) ** 2, axis=1),
         "pfs": np.mean(w * (gv < threshold), axis=1),
         "mean_weights": np.mean(w, axis=1),
     }
@@ -316,6 +317,23 @@ class TestPropagate:
         for name in ("means", "pfs", "mean_weights"):
             np.testing.assert_allclose(getattr(res, name), ref[name], rtol=1e-12, err_msg=name)
         np.testing.assert_allclose(res.variances, ref["variances"], rtol=0.0, atol=1e-12)
+
+    def test_variance_is_not_negative_at_mean_weight_above_one(self):
+        # Every point is drawn near the first member, so its mean weight W is
+        # about 2; sum w g^2 / n - (sum w g / n)^2 would read about
+        # 2 E[g^2] - 4 E[g]^2 < 0 there.
+        code = FAMILIES.index(ModelFamily.NORMAL)
+        ens = DistributionEnsemble(np.array([code, code]), np.array([[0.0, 1.0], [10.0, 1.0]]))
+        x = np.random.default_rng(3).normal(0.0, 1.0, 2000)
+
+        def g(v):
+            return v + 100.0
+
+        res = propagate(ens, g, x.size, None, x_samples=x)
+        assert res.mean_weights[0] > 1.9
+        assert np.all(res.variances >= 0.0)
+        ref = dense_two_pass(ens, x, g, 0.6)
+        np.testing.assert_allclose(res.variances, ref["variances"], rtol=1e-9)
 
     def test_one_density_evaluation_per_cell(self, monkeypatch):
         cells, widths = [], []
