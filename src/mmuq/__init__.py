@@ -16,9 +16,6 @@ from .buckling import (
     buckling_response,
     generate_data,
     pf_semianalytic,
-    psi_carlsen,
-    psi_faulkner,
-    slenderness,
 )
 from .config import ExperimentConfig, load_config, model_prior_probs
 from .distributions import (

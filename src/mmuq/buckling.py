@@ -1,5 +1,5 @@
-"""Plate buckling strength: deterministic formulas, synthetic data, and a
-semi-analytic failure-probability oracle.
+"""Plate buckling strength: the buckling response psi(sigma0), synthetic
+data, and quadrature and semi-analytic oracles for its statistics.
 
 The response of interest is the normalized buckling strength of a simply
 supported rectangular plate under uniaxial compression.  Only the yield
@@ -32,9 +32,6 @@ __all__ = [
     "MEAN_PLATE",
     "TRUE_MODEL",
     "FAILURE_THRESHOLD",
-    "slenderness",
-    "psi_faulkner",
-    "psi_carlsen",
     "buckling_response",
     "generate_data",
     "response_moments",
@@ -98,30 +95,15 @@ class TrueModelSpec:
 TRUE_MODEL = TrueModelSpec()
 
 
-def slenderness(cfg: PlateConfig):
-    """Plate slenderness (b/t) sqrt(sigma0 / E)."""
-    return (cfg.b / cfg.t) * np.sqrt(cfg.sigma0 / cfg.E)
-
-
-def psi_faulkner(lam):
-    """Normalized buckling strength of a pristine plate: 2/lam - 1/lam^2."""
-    lam = np.asarray(lam, dtype=float) if np.ndim(lam) else float(lam)
-    return 2.0 / lam - 1.0 / lam**2
-
-
-def psi_carlsen(cfg: PlateConfig):
-    """Normalized buckling strength with residual stress and initial
-    deflection: (2.1/lam - 0.9/lam^2)(1 - 0.75 delta0/lam)(1 - 2 eta t/b).
+def buckling_response(base: PlateConfig = MEAN_PLATE) -> Callable[[np.ndarray], np.ndarray]:
+    """Vectorized normalized buckling strength with residual stress and
+    initial deflection, (2.1/lam - 0.9/lam^2)(1 - 0.75 delta0/lam)(1 - 2 eta t/b)
+    with slenderness lam = (b/t) sqrt(sigma0 / E), as a function of sigma0
+    with the other plate variables frozen at ``base``'s values.
 
     May go negative for extreme inputs; values flow through statistics
     unchanged.
     """
-    return buckling_response(cfg)(cfg.sigma0)
-
-
-def buckling_response(base: PlateConfig = MEAN_PLATE) -> Callable[[np.ndarray], np.ndarray]:
-    """Vectorized psi(sigma0) with the non-yield variables frozen at
-    ``base``'s values."""
     ratio = base.b / base.t
     fixed3 = 1.0 - 2.0 * base.eta * base.t / base.b
 

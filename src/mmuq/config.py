@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, replace
+import numbers
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +33,15 @@ DEFAULT_SIZES = (10, 25, 50, 100, 500, 1000, 5000, 10000)
 
 _STRONG = 0.9
 _WEAK = (1.0 - _STRONG) / 6.0
+
+
+def _as_int(name: str, value) -> int:
+    """``value`` as an int if it is a whole number (JSON reads ``1e4`` as a
+    float); otherwise a ValueError naming the field."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        if isinstance(value, numbers.Integral) or float(value).is_integer():
+            return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def model_prior_probs(name: str, size: int) -> ModelPriorProbs:
@@ -78,7 +88,12 @@ class ExperimentConfig:
     kde_max_components: int = 5000
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "dataset_sizes", tuple(int(s) for s in self.dataset_sizes))
+        for f in fields(self):
+            if f.type == "int":  # a string: annotations are postponed
+                object.__setattr__(self, f.name, _as_int(f.name, getattr(self, f.name)))
+        object.__setattr__(
+            self, "dataset_sizes", tuple(_as_int("dataset_sizes", s) for s in self.dataset_sizes)
+        )
         object.__setattr__(self, "parameter_priors", tuple(self.parameter_priors))
         object.__setattr__(self, "model_priors", tuple(self.model_priors))
         if self.seed < 0:

@@ -27,6 +27,7 @@ import os
 import time
 import traceback
 from collections import deque
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from multiprocessing import Pipe
 from multiprocessing.connection import wait
@@ -245,30 +246,22 @@ class StudyPipeline:
 
     def gen_data(self) -> list[Path]:
         """Write the synthetic study datasets and the historical sets."""
-        root = self.config.out_root / "data"
-        paths = [
-            write_dataset_csv(
-                root / "synthetic" / f"yield_n{size}.csv", self.dataset(size)
-            )
+        root = self.config.out_root / "data" / "synthetic"
+        return [
+            write_dataset_csv(root / f"yield_n{size}.csv", self.dataset(size))
             for size in self.config.dataset_sizes
-        ]
-        for name in HISTORICAL_SOURCES:
-            paths.append(
-                write_dataset_csv(root / "historical" / f"{name}.csv", historical_dataset(name))
-            )
-        return paths
+        ] + self._write_historical(HISTORICAL_SOURCES)
 
-    def _write_historical_inputs(self) -> None:
+    def _write_historical(self, names: Iterable[str]) -> list[Path]:
+        """Write the named historical sets under ``data/historical``."""
         root = self.config.out_root / "data" / "historical"
-        for name in self.config.parameter_priors:
-            if name != NONINFORMATIVE:
-                write_dataset_csv(root / f"{name}.csv", historical_dataset(name))
+        return [write_dataset_csv(root / f"{name}.csv", historical_dataset(name)) for name in names]
 
     def run_quantify(self) -> RunReport:
         """Model-probability tables, chain summaries, mixture densities on
         the yield-strength grid and density-distance metrics for every cell."""
         t0 = time.perf_counter()
-        self._write_historical_inputs()
+        self._write_historical([p for p in self.config.parameter_priors if p != NONINFORMATIVE])
         self._write_psi_table()
         return self._run_panels("quantify", t0)
 
@@ -282,8 +275,7 @@ class StudyPipeline:
     def _run_panels(self, stage: str, t0: float) -> RunReport:
         panels = list(dict.fromkeys((size, pp) for size, pp, _ in self.config.grid()))
         processes = self._process_count(len(panels))
-        if processes > 1:
-            self._build_informative_priors()
+        self._build_informative_priors()
         cells: list[CellRecord] = []
         panel_stats: dict[str, dict] = {}
         outcomes = self._map_units("_panel", [(stage, size, pp) for size, pp in panels])
@@ -323,7 +315,8 @@ class StudyPipeline:
 
     def _build_informative_priors(self) -> None:
         """Build every informative prior the grid needs before the panels
-        fork, so that each is built once per run, not once per size."""
+        run (and fork), so that each is built once per run, not once per
+        size."""
         units = [
             (name, fam)
             for name in self.config.parameter_priors

@@ -19,7 +19,7 @@ from mmuq.cli import main
 from mmuq.config import MODEL_PRIOR_NAMES, ExperimentConfig, load_config, model_prior_probs
 from mmuq.distributions import FAMILIES
 from mmuq.evidence import aic_weights, information_criteria, savvy_priors
-from mmuq.io import DatasetFormatError, read_dataset_csv, write_dataset_csv
+from mmuq.io import write_dataset_csv
 from mmuq.mcmc import EnsembleConfig
 from mmuq.pipeline import StudyPipeline
 from mmuq.propagation import propagate
@@ -28,6 +28,11 @@ from mmuq.propagation import propagate
 def read_csv(path: Path) -> list[dict]:
     with path.open(newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def read_values(path: Path) -> list[float]:
+    """The values of a dataset CSV written by ``write_dataset_csv``."""
+    return [float(r["yield_ksi"]) for r in read_csv(path)]
 
 
 @pytest.fixture(scope="session")
@@ -62,41 +67,7 @@ class TestIngestDataset:
 
         original = Dataset(rng.normal(34.0, 4.0, 17), label="rt")
         path = write_dataset_csv(tmp_path / "rt.csv", original)
-        back = read_dataset_csv(path)
-        np.testing.assert_array_equal(back.values, original.values)
-        assert back.n == 17
-
-    def test_small_file(self, tmp_path):
-        path = tmp_path / "three.csv"
-        path.write_text("yield_ksi\n31.5\n35\n38.25\n")
-        data = read_dataset_csv(path)
-        assert data.n == 3
-        np.testing.assert_allclose(data.values, [31.5, 35.0, 38.25])
-
-    def test_non_numeric_row_names_the_line(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("yield_ksi\n31.5\noops\n38.25\n")
-        with pytest.raises(DatasetFormatError, match=r":3"):
-            read_dataset_csv(path)
-
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-    def test_non_finite_row_names_the_line(self, value, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text(f"yield_ksi\n31.5\n35\n{value}\n38.25\n")
-        with pytest.raises(DatasetFormatError, match=rf"bad\.csv:4: non-finite value '{value}'"):
-            read_dataset_csv(path)
-
-    def test_empty_file_is_an_error(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        path.write_text("")
-        with pytest.raises(DatasetFormatError, match="empty"):
-            read_dataset_csv(path)
-
-    def test_header_only_is_an_error(self, tmp_path):
-        path = tmp_path / "header.csv"
-        path.write_text("yield_ksi\n")
-        with pytest.raises(DatasetFormatError, match="no data rows"):
-            read_dataset_csv(path)
+        np.testing.assert_array_equal(read_values(path), original.values)
 
 
 class TestQuantifyOutputs:
@@ -150,7 +121,7 @@ class TestQuantifyOutputs:
     def test_historical_inputs_written(self, study):
         cfg, _, _, _ = study
         path = cfg.out_root / "data" / "historical" / "ABS-B.csv"
-        assert read_dataset_csv(path).n == 79
+        assert len(read_values(path)) == 79
 
     def test_osd_density_integrates_near_one(self, study):
         cfg, _, _, _ = study
@@ -565,14 +536,22 @@ class TestCli:
     def test_gen_data_writes_datasets(self, tmp_path, capsys):
         config = self.write_config(tmp_path)
         assert main(["gen-data", "--config", str(config)]) == 0
-        assert read_dataset_csv(tmp_path / "out" / "cli" / "data" / "synthetic" / "yield_n10.csv").n == 10
-        assert read_dataset_csv(tmp_path / "out" / "cli" / "data" / "historical" / "ASTM-A7.csv").n == 58
+        data = tmp_path / "out" / "cli" / "data"
+        assert len(read_values(data / "synthetic" / "yield_n10.csv")) == 10
+        assert len(read_values(data / "historical" / "ASTM-A7.csv")) == 58
 
     def test_flag_overrides(self, tmp_path):
         config = self.write_config(tmp_path)
         out2 = tmp_path / "other"
         assert main(["quantify", "--config", str(config), "--out", str(out2), "--seed", "77"]) == 0
         assert (out2 / "cli" / "10" / "noninformative" / "uniform" / "model_probs.csv").exists()
+
+    def test_rejected_config_writes_nothing(self, tmp_path):
+        config = self.write_config(tmp_path)
+        config.write_text(json.dumps({**json.loads(config.read_text()), "n_d": 100.5}))
+        with pytest.raises(ValueError, match="n_d must be an integer"):
+            main(["quantify", "--config", str(config)])
+        assert not (tmp_path / "out").exists()
 
     def test_partial_failure_exit_code(self, tmp_path, monkeypatch):
         config = self.write_config(tmp_path)
@@ -629,6 +608,28 @@ class TestConfig:
 
     def test_default_config_hash_unchanged(self):
         assert ExperimentConfig().config_hash().startswith("da06ba2b")
+
+    @pytest.mark.parametrize(
+        "name",
+        ["seed", "n_k", "n_d", "n_propagation", "workers", "chain_steps", "chain_burn_in",
+         "chain_walkers", "pre_prior_steps", "pre_prior_burn_in", "kde_max_components",
+         "dataset_sizes"],
+    )
+    def test_integer_fields_take_whole_numbers_only(self, name, tmp_path):
+        # each of these used to pass construction and then fail every grid
+        # cell, or (dataset_sizes) run a truncated size without a word
+        default = getattr(ExperimentConfig(), name)
+        value = default[-1] if name == "dataset_sizes" else default
+        field = (lambda v: [v]) if name == "dataset_sizes" else (lambda v: v)
+        # JSON reads 1e4 or 10000.0 as a float
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({name: field(float(value))}))
+        loaded = load_config(path)
+        want = ExperimentConfig(**{name: field(value)})
+        assert loaded == want and loaded.config_hash() == want.config_hash()
+        for bad in (value + 0.5, float("nan"), float("inf"), str(value), True):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                ExperimentConfig(**{name: field(bad)})
 
     @pytest.mark.parametrize(
         "bad, match",
