@@ -9,7 +9,6 @@ through a plate-buckling response with single-loop importance sampling.
 
 from .buckling import (
     MEAN_PLATE,
-    NOMINAL_PLATE,
     TRUE_MODEL,
     PlateConfig,
     TrueModelSpec,

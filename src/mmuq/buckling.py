@@ -28,7 +28,6 @@ from .seeding import rng_for
 __all__ = [
     "PlateConfig",
     "TrueModelSpec",
-    "NOMINAL_PLATE",
     "MEAN_PLATE",
     "TRUE_MODEL",
     "FAILURE_THRESHOLD",
@@ -64,8 +63,6 @@ class PlateConfig:
         if self.b <= self.t:
             raise ValueError("plate width must exceed thickness")
 
-
-NOMINAL_PLATE = PlateConfig()
 
 # Variable means: measured bias factors applied to the nominal values.
 MEAN_PLATE = PlateConfig(

@@ -474,11 +474,11 @@ def log_likelihood_batch(family: ModelFamily, thetas: np.ndarray, data: Dataset)
     plus sum_i h(theta, t(x_i)), evaluated in (rows x data) chunks.
     """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-    out = np.full(thetas.shape[0], _NEG_INF)
     if family in POSITIVE_SUPPORT and not data.all_positive:
-        return out
+        return np.full(thetas.shape[0], _NEG_INF)
     ok = _valid_rows(family, thetas)
-    rows = thetas[ok]
+    every_row = ok.all()
+    rows = thetas if every_row else thetas[ok]
     coef = _coefficients(family, rows)
     ll = np.einsum("ik,kj->ij", coef, data.feature_sums(family), optimize=False)[:, 0]
     if family in _CELL_TERM_OF_LOG_X:
@@ -486,7 +486,11 @@ def log_likelihood_batch(family: ModelFamily, thetas: np.ndarray, data: Dataset)
         for start in range(0, rows.shape[0], _LIKELIHOOD_CHUNK):
             chunk = slice(start, start + _LIKELIHOOD_CHUNK)
             ll[chunk] += np.sum(_cell_term(family, rows[chunk], t), axis=1)
-    out[ok] = ll
+    if every_row:
+        out = ll
+    else:
+        out = np.full(thetas.shape[0], _NEG_INF)
+        out[ok] = ll
     # overflow in extreme corners of the prior box can yield nan; treat it
     # (and +inf) as impossible rather than propagating
     out[~(out < np.inf)] = _NEG_INF

@@ -105,22 +105,27 @@ def run_ensemble_sampler(
         raise InitializationError("initial ensemble contains non-finite posteriors")
 
     half = n_walkers // 2
-    groups = (np.arange(half), np.arange(half, n_walkers))
+    # (active walkers, their log densities, offset of the other half): the
+    # halves are views, so accepted proposals land in ``walkers`` directly
+    halves = (
+        (walkers[:half], logp[:half], half),
+        (walkers[half:], logp[half:], 0),
+    )
     chain = np.empty((cfg.n_steps, n_walkers, ndim))
     accepted = 0
 
     for step in range(cfg.n_steps):
-        for active, other in ((0, 1), (1, 0)):
-            idx = groups[active]
-            comp = groups[other]
-            partners = comp[rng.integers(0, half, size=half)]
+        for active, active_logp, offset in halves:
+            partners = walkers[rng.integers(0, half, size=half) + offset]
             z = draw_stretch_factors(rng, half)
-            proposal = walkers[partners] + z[:, None] * (walkers[idx] - walkers[partners])
+            proposal = active - partners
+            proposal *= z[:, None]
+            proposal += partners
             logp_prop = log_prob(proposal)
-            log_accept = (ndim - 1.0) * np.log(z) + logp_prop - logp[idx]
+            log_accept = (ndim - 1.0) * np.log(z) + logp_prop - active_logp
             take = np.log(rng.random(half)) < log_accept
-            walkers[idx[take]] = proposal[take]
-            logp[idx[take]] = logp_prop[take]
+            active[take] = proposal[take]
+            active_logp[take] = logp_prop[take]
             accepted += int(np.count_nonzero(take))
         chain[step] = walkers
 
@@ -144,9 +149,11 @@ def sample_posterior(
 
     def log_post(thetas: np.ndarray) -> np.ndarray:
         lp = prior.log_density_batch(thetas)
-        out = np.full(thetas.shape[0], -np.inf)
         live = lp > -np.inf
-        if np.any(live):
+        if live.all():
+            return lp + log_likelihood_batch(family, thetas, data)
+        out = np.full(thetas.shape[0], -np.inf)
+        if live.any():
             out[live] = lp[live] + log_likelihood_batch(family, thetas[live], data)
         return out
 

@@ -51,12 +51,21 @@ class DegenerateDataError(ValueError):
     """Sample set carries no spread in some dimension."""
 
 
+def _param_rows(thetas: np.ndarray) -> np.ndarray:
+    thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+    if thetas.ndim != 2 or thetas.shape[1] != PARAM_DIM:
+        raise ValueError("thetas must have shape (rows, 2)")
+    return thetas
+
+
 @dataclass(frozen=True)
 class UniformBoxPrior:
     """Proper uniform density over an axis-aligned box."""
 
     lo: np.ndarray
     hi: np.ndarray
+    # -log volume: the density at every point inside the box
+    _log_density: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "lo", np.asarray(self.lo, dtype=float))
@@ -67,15 +76,12 @@ class UniformBoxPrior:
             raise ValueError("bounds must be finite (prior must be proper)")
         if not np.all(self.lo < self.hi):
             raise ValueError("need lo < hi componentwise")
-
-    @property
-    def log_volume(self) -> float:
-        return float(np.sum(np.log(self.hi - self.lo)))
+        object.__setattr__(self, "_log_density", -float(np.sum(np.log(self.hi - self.lo))))
 
     def log_density_batch(self, thetas: np.ndarray) -> np.ndarray:
-        thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-        inside = np.all((thetas >= self.lo) & (thetas <= self.hi), axis=1)
-        return np.where(inside, -self.log_volume, -np.inf)
+        thetas = _param_rows(thetas)
+        inside = ((thetas >= self.lo) & (thetas <= self.hi)).all(axis=1)
+        return np.where(inside, self._log_density, -np.inf)
 
     def sample(self, rng: np.random.Generator, count: int = 1) -> np.ndarray:
         if count < 1:
@@ -98,9 +104,12 @@ class KdePrior:
     support_samples: np.ndarray
     bandwidths: np.ndarray
     _log_norm: float = field(init=False, repr=False)
-    # Bandwidth-scaled support, transposed to (2, n): one contiguous row
-    # per parameter axis.
-    _scaled_support: np.ndarray = field(init=False, repr=False)
+    # Mean of the bandwidth-scaled support, subtracted from support and
+    # query points alike so the expanded square below cancels little.
+    _centre: np.ndarray = field(init=False, repr=False)
+    # (3, n) matrix [s0; s1; -|s|^2 / 2] of the centred, bandwidth-scaled
+    # support s: [t0, t1, 1] times it is t.s - |s|^2 / 2 for every kernel.
+    _kernel_terms: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         samples = np.atleast_2d(np.asarray(self.support_samples, dtype=float))
@@ -117,7 +126,14 @@ class KdePrior:
         object.__setattr__(self, "bandwidths", bw)
         ln = np.log(samples.shape[0]) + np.sum(np.log(bw)) + PARAM_DIM / 2.0 * _LOG_2PI
         object.__setattr__(self, "_log_norm", float(ln))
-        object.__setattr__(self, "_scaled_support", np.ascontiguousarray((samples / bw).T))
+        scaled = samples / bw
+        centre = scaled.mean(axis=0)
+        scaled -= centre
+        terms = np.empty((PARAM_DIM + 1, samples.shape[0]))
+        terms[:PARAM_DIM] = scaled.T
+        terms[PARAM_DIM] = -0.5 * np.sum(scaled * scaled, axis=1)
+        object.__setattr__(self, "_centre", centre)
+        object.__setattr__(self, "_kernel_terms", terms)
 
     @property
     def n_components(self) -> int:
@@ -127,32 +143,43 @@ class KdePrior:
         """Log density at each row of ``thetas`` (shape (rows, 2)).
 
         An exact log-sum-exp over all kernels, shifted by each row's peak
-        exponent so a point far from every kernel stays finite.  Cost is
+        exponent so a point far from every kernel stays finite.  With t and
+        s the centred, bandwidth-scaled point and support, each kernel's
+        exponent -|t - s|^2 / 2 is expanded as t.s - |s|^2 / 2 - |t|^2 / 2:
+        one BLAS product [t0, t1, 1] . ``_kernel_terms`` per block of rows,
+        with the per-row |t|^2 / 2 subtracted after the sum.  Cost is
         O(rows x kernels) ``exp`` calls.  Rows go through in blocks of as
-        many as fit ``_BLOCK_CELLS`` cells (at least one), so memory is
-        bounded by one (block x kernels) float64 block plus one temporary of
-        the same size, whatever the row count.
+        many as fit ``_BLOCK_CELLS`` cells (at least two), so memory is
+        bounded by one (block x kernels) float64 block, whatever the row
+        count.  A row's value depends only on that row, never on the other
+        rows of the call.
+
+        The expansion rounds differently from the direct square, by at most
+        eps (1 + |t|^2 / 2 + max |s|^2 / 2): 2e-14 absolute on n=1000 chain
+        rows under the seven ABS-B priors, 6e-16 relative on rows far from
+        every kernel.  On those priors (4800 kernels) a 16-row call, one
+        half-move's, takes about 175 us against 240-300 us for the direct
+        square (shared 2-core x86-64 host, OpenBLAS).
         """
-        thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-        if thetas.ndim != 2 or thetas.shape[1] != PARAM_DIM:
-            raise ValueError("thetas must have shape (rows, 2)")
-        s0, s1 = self._scaled_support
-        t0, t1 = (thetas / self.bandwidths).T
-        block = max(1, _BLOCK_CELLS // s0.size)
-        out = np.empty(thetas.shape[0])
-        for start in range(0, thetas.shape[0], block):
-            stop = min(start + block, thetas.shape[0])
-            expo = t0[start:stop, None] - s0
-            expo *= expo
-            dz = t1[start:stop, None] - s1
-            dz *= dz
-            expo += dz
-            expo *= -0.5
+        thetas = _param_rows(thetas)
+        rows = thetas.shape[0]
+        # one spare row: np.matmul sends a one-row product to BLAS's GEMV,
+        # which rounds differently from GEMM, so a one-row block is padded
+        feats = np.ones((rows + 1, PARAM_DIM + 1))
+        t = feats[:rows, :PARAM_DIM]
+        np.divide(thetas, self.bandwidths, out=t)
+        t -= self._centre
+        block = max(2, _BLOCK_CELLS // self.n_components)
+        out = np.empty(rows)
+        for start in range(0, rows, block):
+            stop = min(start + block, rows)
+            expo = (feats[start : max(stop, start + 2)] @ self._kernel_terms)[: stop - start]
             peak = np.max(expo, axis=1)
             expo -= peak[:, None]
             np.exp(expo, out=expo)
             out[start:stop] = peak + np.log(np.sum(expo, axis=1))
-        return out - self._log_norm
+        out -= 0.5 * np.sum(t * t, axis=1) + self._log_norm
+        return out
 
     def sample(self, rng: np.random.Generator, count: int = 1) -> np.ndarray:
         if count < 1:

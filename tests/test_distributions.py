@@ -255,6 +255,19 @@ class TestLogLikelihood:
         assert np.isfinite(out[0]) and out[1] == -np.inf and out[2] == -np.inf
 
     @pytest.mark.parametrize("family", FAMILIES)
+    def test_valid_rows_unchanged_by_invalid_neighbours(self, family, rng):
+        # an all-valid call skips the gather of valid rows and the scatter
+        # of their values; each valid row must get the same bits either way
+        data = Dataset(sample(family, STUDY_THETAS[family], rng, 300))
+        valid = np.asarray(STUDY_THETAS[family]) * rng.uniform(0.9, 1.1, size=(6, 2))
+        invalid = [[np.nan, 1.0], [1.0, -1.0], [np.inf, 1.0], [1.0, np.nan]]
+        mixed = np.insert(valid, [0, 2, 2, 6], invalid, axis=0)
+        out = log_likelihood_batch(family, mixed, data)
+        live = np.isfinite(out)
+        assert np.count_nonzero(live) == 6
+        np.testing.assert_array_equal(out[live], log_likelihood_batch(family, valid, data))
+
+    @pytest.mark.parametrize("family", FAMILIES)
     def test_batch_overflow_rows_are_neg_inf(self, family):
         # Extreme corners of the box overflow to inf - inf = nan inside the
         # formulas (Gamma and Weibull at the second row, Normal and

@@ -170,6 +170,13 @@ class TestKdePrior:
         )
         return logsumexp(log_kernels, axis=1) - np.log(prior.n_components)
 
+    @staticmethod
+    def assert_one_row_calls_match(prior, thetas):
+        np.testing.assert_array_equal(
+            np.concatenate([prior.log_density_batch(t[None, :]) for t in thetas]),
+            prior.log_density_batch(thetas),
+        )
+
     @pytest.fixture
     def wide_prior(self, rng):
         support = rng.standard_normal((700, 2)) * [1.5, 0.4] + [10.0, 2.0]
@@ -200,10 +207,20 @@ class TestKdePrior:
     def test_one_row_calls_match_batched_call(self, wide_prior, rng):
         # 1100 rows span six default blocks at 700 kernels; blocking must
         # not change a single bit
-        thetas = wide_prior.sample(rng, 1100)
+        self.assert_one_row_calls_match(wide_prior, wide_prior.sample(rng, 1100))
+
+    @pytest.mark.parametrize("rows", [188, 375])
+    def test_one_row_tail_block_matches_one_row_calls(self, wide_prior, rng, rows):
+        # blocks hold 187 rows at 700 kernels, so the last row of these
+        # calls sits alone in its block; its product is padded to two rows
+        # like a one-row call's.  A product left unpadded changes about one
+        # row in eight, so 40 different last rows are tried
+        head = wide_prior.sample(rng, rows - 1)
+        tails = wide_prior.sample(rng, 40)
+        self.assert_one_row_calls_match(wide_prior, np.vstack([head, tails[:1]]))
         np.testing.assert_array_equal(
-            np.concatenate([wide_prior.log_density_batch(t[None, :]) for t in thetas]),
-            wide_prior.log_density_batch(thetas),
+            [wide_prior.log_density_batch(np.vstack([head, t]))[-1] for t in tails],
+            np.concatenate([wide_prior.log_density_batch(t[None, :]) for t in tails]),
         )
 
     def test_input_is_not_mutated(self, wide_prior, rng):
@@ -230,6 +247,24 @@ class TestKdePrior:
     def test_rejects_invalid_construction(self, support, bandwidths):
         with pytest.raises(ValueError):
             KdePrior(support, bandwidths)
+
+
+@pytest.mark.parametrize(
+    "prior",
+    [
+        UniformBoxPrior(lo=np.array([0.0, 0.0]), hi=np.array([2.0, 2.0])),
+        KdePrior(np.array([[1.0, 1.0], [1.5, 0.5]]), np.array([0.3, 0.3])),
+    ],
+    ids=["box", "kde"],
+)
+@pytest.mark.parametrize(
+    "thetas", [np.ones((4, 1)), np.ones(1), np.zeros((4, 3))], ids=["4x1", "1", "4x3"]
+)
+def test_log_density_rejects_rows_that_are_not_pairs(prior, thetas):
+    # a (4, 1) or one-element input would broadcast against the box's
+    # 2-vector bounds and give one density per element
+    with pytest.raises(ValueError, match=r"thetas must have shape \(rows, 2\)"):
+        prior.log_density_batch(thetas)
 
 
 class TestBuildInformativePrior:
