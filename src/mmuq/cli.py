@@ -25,7 +25,6 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="mmuq",
         description="Bayesian multimodel uncertainty quantification and propagation",
     )
-    parser.add_argument("-v", "--verbose", action="store_true", help="debug logging")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in (
         ("quantify", "model probabilities, chain summaries and density metrics"),
@@ -61,10 +60,7 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.INFO,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     pipeline = StudyPipeline(_config_from_args(args))
     if args.command == "gen-data":
         for path in pipeline.gen_data():

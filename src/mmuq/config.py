@@ -91,11 +91,14 @@ class ExperimentConfig:
         for f in fields(self):
             if f.type == "int":  # a string: annotations are postponed
                 object.__setattr__(self, f.name, _as_int(f.name, getattr(self, f.name)))
+        for axis in ("dataset_sizes", "parameter_priors", "model_priors"):
+            values = getattr(self, axis)
+            if isinstance(values, (str, numbers.Number)):
+                raise ValueError(f"{axis} must be a list, got {values!r}")
+            object.__setattr__(self, axis, tuple(values))
         object.__setattr__(
             self, "dataset_sizes", tuple(_as_int("dataset_sizes", s) for s in self.dataset_sizes)
         )
-        object.__setattr__(self, "parameter_priors", tuple(self.parameter_priors))
-        object.__setattr__(self, "model_priors", tuple(self.model_priors))
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         if not self.dataset_sizes or min(self.dataset_sizes) < 1:

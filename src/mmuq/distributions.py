@@ -234,6 +234,14 @@ def require_valid_theta(family: ModelFamily, theta) -> np.ndarray:
     return th
 
 
+def _param_rows(thetas: np.ndarray) -> np.ndarray:
+    """``thetas`` as float (rows, 2) rows, a single pair as one row."""
+    thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+    if thetas.ndim != 2 or thetas.shape[1] != PARAM_DIM:
+        raise ValueError("thetas must have shape (rows, 2)")
+    return thetas
+
+
 def _valid_rows(family: ModelFamily, thetas: np.ndarray) -> np.ndarray:
     """Finite rows with positive parameters > 0 and cancelling term s below
     ``_MAX_CANCELLING``; each bound scales the parameter-free side down, so
@@ -449,7 +457,7 @@ def sample(family: ModelFamily, theta, rng: np.random.Generator, count: int) -> 
 
 def sample_one_per(family: ModelFamily, thetas: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """One variate per row of ``thetas`` (m, 2); rows must all be valid."""
-    thetas = np.asarray(thetas, dtype=float)
+    thetas = _param_rows(thetas)
     if not np.all(_valid_rows(family, thetas)):
         raise InvalidParameterError(f"invalid parameter rows for {family}")
     return _draw(family, thetas[:, 0], thetas[:, 1], rng, thetas.shape[0])
@@ -473,7 +481,7 @@ def log_likelihood_batch(family: ModelFamily, thetas: np.ndarray, data: Dataset)
     dataset's cached feature sums, whose cost stays flat in dataset size,
     plus sum_i h(theta, t(x_i)), evaluated in (rows x data) chunks.
     """
-    thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+    thetas = _param_rows(thetas)
     if family in POSITIVE_SUPPORT and not data.all_positive:
         return np.full(thetas.shape[0], _NEG_INF)
     ok = _valid_rows(family, thetas)
@@ -506,7 +514,7 @@ def log_pdf_grid(family: ModelFamily, thetas: np.ndarray, x: np.ndarray) -> np.n
     x; the cell may hold inf - inf), are then set to -inf.  ``log_pdf``
     returns one row of it.
     """
-    thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+    thetas = _param_rows(thetas)
     x = np.asarray(x, dtype=float)
     if not np.all(_valid_rows(family, thetas)):
         raise InvalidParameterError(f"invalid parameter rows for {family}")

@@ -67,7 +67,6 @@ class EnsembleConfig:
 class PosteriorChain:
     """Post burn-in samples for one model, flattened across walkers."""
 
-    family: ModelFamily
     samples: np.ndarray  # (n_samples, ndim)
     acceptance_rate: float
 
@@ -182,7 +181,7 @@ def sample_posterior(
     if not 0.05 < rate < 0.95:
         logger.warning("acceptance rate %.3f outside (0.05, 0.95) for %s", rate, family)
     flat = chain[cfg.burn_in :].reshape(-1, 2)
-    return PosteriorChain(family=family, samples=flat, acceptance_rate=rate)
+    return PosteriorChain(samples=flat, acceptance_rate=rate)
 
 
 def effective_sample_size(x: np.ndarray) -> float:

@@ -6,7 +6,7 @@ the cell coordinates, so outputs are byte-identical across repeat runs and
 worker counts.  A failing cell is logged and skipped; the remaining cells
 still run.
 
-Every shared artifact (dataset, prior, chain, evidences, criteria,
+Every shared artifact (dataset, prior, chain, evidences, BICs,
 ensemble, true output statistics) is built once per pipeline and kept in
 one store, keyed by the method that builds it and its arguments; the
 manifest records sit in the same store.  The unit of parallel work is a
@@ -200,18 +200,17 @@ class StudyPipeline:
         )
 
     @_memo
-    def criteria(self, size: int) -> tuple[np.ndarray, np.ndarray]:
-        """(AIC, BIC) vectors over the candidate set for one dataset size."""
+    def bics(self, size: int) -> np.ndarray:
+        """BIC vector over the candidate set for one dataset size."""
         data = self.dataset(size)
-        pairs = [information_criteria(fam, data) for fam in FAMILIES]
-        return np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
+        return np.array([information_criteria(fam, data)[1] for fam in FAMILIES])
 
     def posterior_probs(self, size: int, param_prior: str, model_prior: str) -> ModelPosteriorProbs:
         """Bayes' rule over models.  Savvy cells take -BIC/2 as each model's
         log evidence, which with savvy priors gives the AIC weights; the
         other model priors use the Monte Carlo evidences."""
         if model_prior == "savvy":
-            log_ev = -self.criteria(size)[1] / 2.0
+            log_ev = -self.bics(size) / 2.0
         else:
             log_ev = self.log_evidences(size, param_prior)
         return model_posteriors(log_ev, model_prior_probs(model_prior, size))

@@ -17,6 +17,7 @@ import numpy as np
 
 from .distributions import (
     _BLOCK_CELLS,
+    _param_rows,
     Dataset,
     ModelFamily,
     PARAM_DIM,
@@ -49,13 +50,6 @@ ENVELOPE_COV = (0.01, 0.35)
 
 class DegenerateDataError(ValueError):
     """Sample set carries no spread in some dimension."""
-
-
-def _param_rows(thetas: np.ndarray) -> np.ndarray:
-    thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-    if thetas.ndim != 2 or thetas.shape[1] != PARAM_DIM:
-        raise ValueError("thetas must have shape (rows, 2)")
-    return thetas
 
 
 @dataclass(frozen=True)
@@ -158,8 +152,8 @@ class KdePrior:
         eps (1 + |t|^2 / 2 + max |s|^2 / 2): 2e-14 absolute on n=1000 chain
         rows under the seven ABS-B priors, 6e-16 relative on rows far from
         every kernel.  On those priors (4800 kernels) a 16-row call, one
-        half-move's, takes about 175 us against 240-300 us for the direct
-        square (shared 2-core x86-64 host, OpenBLAS).
+        half-move's, takes about 175 us (shared 2-core x86-64 host,
+        OpenBLAS).
         """
         thetas = _param_rows(thetas)
         rows = thetas.shape[0]

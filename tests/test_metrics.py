@@ -95,6 +95,19 @@ class TestAvgMeanSquareDistance:
     def test_member_square_distance_on_nonuniform_grid(self, rng):
         self.check_against_per_member_trapezoid(np.sort(rng.uniform(15.0, 65.0, 2001)), rng)
 
+    def test_nonuniform_grid_is_refined_at_its_midpoints(self):
+        # a grid dense only where the densities live: the check refines this
+        # grid, so it agrees with a dense trapezoid instead of comparing
+        # with a uniform grid that misses the peaks
+        ens = normal_ensemble([35.0], sigma=0.05)
+        truth = (ModelFamily.NORMAL, np.array([35.02, 0.05]))
+        grid = np.concatenate([[15.0], np.linspace(34.5, 35.5, 201), [65.0]])
+        dense = np.linspace(34.5, 35.5, 200_001)
+        p = pdf(ModelFamily.NORMAL, np.array([35.0, 0.05]), dense)
+        q = pdf(ModelFamily.NORMAL, truth[1], dense)
+        want = 0.5 * np.trapezoid((p - q) ** 2, dense)
+        assert avg_mean_square_distance(ens, truth, grid) == pytest.approx(want, abs=1e-10)
+
     def test_coarse_grid_raises(self):
         # narrow densities on an 11-point grid over 50 ksi are unresolved
         ens = normal_ensemble([34.0], sigma=0.3)
@@ -189,7 +202,10 @@ class TestEmpiricalCdf:
         np.testing.assert_allclose(cdf.probs, [1 / 3, 2 / 3, 1.0])
 
     def test_rejects_unsorted_or_bad_probs(self):
-        with pytest.raises(ValueError):
-            EmpiricalCdf(values=np.array([2.0, 1.0]), probs=np.array([0.5, 1.0]))
-        with pytest.raises(ValueError):
-            EmpiricalCdf(values=np.array([1.0, 2.0]), probs=np.array([0.5, 0.9]))
+        # the probabilities are derived from the values, so only the values
+        # can be bad
+        with pytest.raises(ValueError, match="sorted"):
+            EmpiricalCdf(np.array([2.0, 1.0]))
+        for values in (np.empty(0), np.ones((2, 2))):
+            with pytest.raises(ValueError, match="nonempty vector"):
+                EmpiricalCdf(values)

@@ -94,7 +94,7 @@ class TestQuantifyOutputs:
     def test_savvy_probs_are_generalized_bic_weights_bitwise(self, study):
         cfg, pipeline, _, _ = study
         for size in cfg.dataset_sizes:
-            bics = pipeline.criteria(size)[1]
+            bics = pipeline.bics(size)
             probs = pipeline.posterior_probs(size, "ABS-B", "savvy")
             want = generalized_bic_weights(bics, savvy_priors(size, np.full(7, 2.0)))
             np.testing.assert_array_equal(probs.pi_hat, want)
@@ -423,7 +423,7 @@ class TestWorkerProcesses:
 
     def test_worker_only_size_reaches_the_caller(self, tmp_path):
         # With one parameter prior the worker runs the n=10 panel alone, so
-        # criteria(10) and the n=10 evidences exist in the caller only if
+        # bics(10) and the n=10 evidences exist in the caller only if
         # the worker's store entries are merged back.
         keys = {}
         for workers in (1, 2):
@@ -431,7 +431,7 @@ class TestWorkerProcesses:
             pipeline = StudyPipeline(cfg)
             assert pipeline.run_quantify().all_ok
             keys[workers] = set(pipeline._built)
-        assert ("criteria", 10) in keys[2] and keys[2] == keys[1]
+        assert ("bics", 10) in keys[2] and keys[2] == keys[1]
 
     def test_manifest_records_processes_and_panels(self, serial_and_forked):
         for workers in (1, 2):
@@ -604,6 +604,27 @@ class TestConfig:
         path = tmp_path / "c.json"
         path.write_text(json.dumps(bad))
         with pytest.raises(ValueError, match=f"{axis} has duplicate"):
+            load_config(path)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"model_priors": "uniform"},
+            {"parameter_priors": "ABS-B"},
+            {"dataset_sizes": 100},
+            {"dataset_sizes": 100.0},
+        ],
+        ids=["model_priors", "parameter_priors", "dataset_sizes-int", "dataset_sizes-float"],
+    )
+    def test_grid_axis_given_a_scalar_rejected(self, bad, tmp_path):
+        # a string used to be split into one-letter names ("unknown model
+        # prior 'u'") and a number to fail with a TypeError
+        axis = next(iter(bad))
+        with pytest.raises(ValueError, match=f"{axis} must be a list"):
+            ExperimentConfig(**bad)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(bad))
+        with pytest.raises(ValueError, match=f"{axis} must be a list"):
             load_config(path)
 
     def test_default_config_hash_unchanged(self):

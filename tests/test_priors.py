@@ -11,8 +11,10 @@ from mmuq.distributions import (
     Dataset,
     ModelFamily,
     log_likelihood_batch,
+    log_pdf_grid,
     params_from_moments,
     sample,
+    sample_one_per,
 )
 from mmuq.mcmc import EnsembleConfig
 from mmuq.priors import (
@@ -250,21 +252,26 @@ class TestKdePrior:
 
 
 @pytest.mark.parametrize(
-    "prior",
+    "call",
     [
-        UniformBoxPrior(lo=np.array([0.0, 0.0]), hi=np.array([2.0, 2.0])),
-        KdePrior(np.array([[1.0, 1.0], [1.5, 0.5]]), np.array([0.3, 0.3])),
+        UniformBoxPrior(lo=np.array([0.0, 0.0]), hi=np.array([2.0, 2.0])).log_density_batch,
+        KdePrior(np.array([[1.0, 1.0], [1.5, 0.5]]), np.array([0.3, 0.3])).log_density_batch,
+        lambda t: log_pdf_grid(ModelFamily.NORMAL, t, np.array([34.0, 35.0])),
+        lambda t: log_likelihood_batch(ModelFamily.NORMAL, t, Dataset([34.0, 35.0])),
+        lambda t: sample_one_per(ModelFamily.NORMAL, t, np.random.default_rng(0)),
     ],
-    ids=["box", "kde"],
+    ids=["box", "kde", "log_pdf_grid", "log_likelihood_batch", "sample_one_per"],
 )
 @pytest.mark.parametrize(
     "thetas", [np.ones((4, 1)), np.ones(1), np.zeros((4, 3))], ids=["4x1", "1", "4x3"]
 )
-def test_log_density_rejects_rows_that_are_not_pairs(prior, thetas):
+def test_log_density_rejects_rows_that_are_not_pairs(call, thetas):
     # a (4, 1) or one-element input would broadcast against the box's
-    # 2-vector bounds and give one density per element
+    # 2-vector bounds and give one density per element; the distribution
+    # functions dropped a third column, and failed on a (4, 1) or
+    # one-element input with an IndexError or AxisError
     with pytest.raises(ValueError, match=r"thetas must have shape \(rows, 2\)"):
-        prior.log_density_batch(thetas)
+        call(thetas)
 
 
 class TestBuildInformativePrior:

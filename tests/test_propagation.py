@@ -70,7 +70,7 @@ def synthetic_chains(rng, spread=0.02, n_samples=400):
     for fam in FAMILIES:
         base = params_from_moments(fam, 34.782, 0.116)
         jitter = 1.0 + spread * rng.standard_normal((n_samples, 2))
-        chains[fam] = PosteriorChain(fam, base * jitter, acceptance_rate=0.5)
+        chains[fam] = PosteriorChain(base * jitter, acceptance_rate=0.5)
     return chains
 
 
