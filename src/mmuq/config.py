@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import numbers
+from collections.abc import Iterable, Mapping
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -93,7 +94,8 @@ class ExperimentConfig:
                 object.__setattr__(self, f.name, _as_int(f.name, getattr(self, f.name)))
         for axis in ("dataset_sizes", "parameter_priors", "model_priors"):
             values = getattr(self, axis)
-            if isinstance(values, (str, numbers.Number)):
+            # a string would split into letters and a JSON object into its keys
+            if isinstance(values, (str, Mapping)) or not isinstance(values, Iterable):
                 raise ValueError(f"{axis} must be a list, got {values!r}")
             object.__setattr__(self, axis, tuple(values))
         object.__setattr__(

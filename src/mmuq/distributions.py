@@ -35,10 +35,13 @@ log density of (t - p1) / p2 into it, and Weibull -exp(k (ln x - ln s)).
 The density grid (``log_pdf_grid``) is one (rows x K) . (K x points) product
 plus h on the block.  The likelihood (``log_likelihood_batch``) is
 c(theta) . sum_i T(x_i), from feature sums cached on the :class:`Dataset`,
-plus h summed over the data in row chunks, so the exponential families cost
-the same at any dataset size.  On a (1000 x 131) block of noninformative-box
-rows the grid takes about 2-3 ns per cell for the exponential families and
-17, 17 and 14 ns for Logistic, Loglogistic and Weibull (shared 2-core x86-64
+plus h summed over the data in row blocks of at most ``_BLOCK_CELLS`` cells
+that reuse one scratch allocation, so the exponential families cost the same
+at any dataset size and the others need about 1 MB at any size.  On
+noninformative-box rows the grid takes about 2-3 ns per cell for the
+exponential families and 13.6, 14.4 and 12.4 ns for Logistic, Loglogistic
+and Weibull on a (1000 x 131) block, and the likelihood's h takes 5.4, 5.4
+and 2.3 ns per cell on 1000 rows at 10^4 points (shared 2-core x86-64
 host).  The linear form rounds differently from a direct formula, within a
 few ulps of its largest term sum_k |c_k T_k(x)|.  A cell's value depends only
 on its own parameter row and point, never on the other rows or points of the
@@ -79,13 +82,9 @@ __all__ = [
 _LOG_2PI = np.log(2.0 * np.pi)
 _NEG_INF = -np.inf
 
-# Parameter rows per (rows x data points) block of the likelihood's term h.
-# Blocks of 2^17 cells measured slower (page faults on every fresh block), so
-# keep this small.
-_LIKELIHOOD_CHUNK = 256
-# Cells per density block (rows x columns) of the KDE prior and the
-# propagation loops: about 1 MB of float64, so the passes over a block stay
-# in cache.
+# Cells per block (rows x columns) of the KDE prior and propagation densities
+# and of the likelihood's term h: about 1 MB of float64, so the passes over a
+# block stay in cache.
 _BLOCK_CELLS = 1 << 17
 
 
@@ -274,19 +273,6 @@ def _outside(family: ModelFamily, x: np.ndarray) -> np.ndarray:
 # densities and sampling
 
 
-def _logistic_logpdf_std(z: np.ndarray) -> np.ndarray:
-    """Standard logistic log density, computed in place in ``z`` (callers
-    pass a fresh temporary) and returned."""
-    # symmetric in z, so evaluate on -|z| to avoid overflow in exp
-    a = np.abs(z, out=z)
-    np.negative(a, out=a)
-    t = np.exp(a)
-    np.log1p(t, out=t)
-    t *= 2.0
-    a -= t
-    return a
-
-
 def _features(family: ModelFamily, x: np.ndarray) -> np.ndarray:
     """The (K x max(points, 2)) features T(x): [u^2, u, 1] with u = t(x) - c0
     (t(x) = x or ln x) for Normal and Lognormal, [ln x, x, 1] for Gamma,
@@ -360,23 +346,35 @@ def _coefficients(family: ModelFamily, thetas: np.ndarray) -> np.ndarray:
     return coef
 
 
-def _cell_term(family: ModelFamily, thetas: np.ndarray, t: np.ndarray) -> np.ndarray:
+def _cell_term(
+    family: ModelFamily,
+    thetas: np.ndarray,
+    t: np.ndarray,
+    out: np.ndarray | None = None,
+    spare: np.ndarray | None = None,
+) -> np.ndarray:
     """The (rows x points) term h(theta, t) of a family in
-    ``_CELL_TERM_OF_LOG_X``, at t = t(x), in one fresh array: the standard
-    logistic log density of (t - p1) / p2 for Logistic (t = x) and
-    Loglogistic (t = ln x), and -exp(k (t - ln s)) for Weibull (t = ln x),
+    ``_CELL_TERM_OF_LOG_X``, at t = t(x), written to ``out`` (a fresh array
+    if None): the standard logistic log density of z = (t - p1) / p2 for
+    Logistic (t = x) and Loglogistic (t = ln x), whose second term takes
+    ``spare`` (likewise), and -exp(k (t - ln s)) for Weibull (t = ln x),
     which overflows to -inf where the density underflows to 0."""
-    p1 = thetas[:, 0][:, None]
-    p2 = thetas[:, 1][:, None]
     if family is ModelFamily.WEIBULL:
-        h = t - np.log(p2)
+        h = np.subtract(t, np.log(thetas[:, 1])[:, None], out=out)
         with np.errstate(over="ignore"):
-            h *= p1
+            h *= thetas[:, 0][:, None]
             np.exp(h, out=h)
         return np.negative(h, out=h)
-    h = t - p1
-    h /= p2
-    return _logistic_logpdf_std(h)
+    # symmetric in z, so evaluate on -|z| = |t - p1| / (-p2) (bit for bit)
+    # to avoid overflow in exp
+    a = np.subtract(t, thetas[:, 0][:, None], out=out)
+    np.abs(a, out=a)
+    a /= (-thetas[:, 1])[:, None]
+    e = np.exp(a, out=spare)
+    np.log1p(e, out=e)
+    e *= 2.0
+    a -= e
+    return a
 
 
 def log_pdf(family: ModelFamily, theta, x):
@@ -479,7 +477,7 @@ def log_likelihood_batch(family: ModelFamily, thetas: np.ndarray, data: Dataset)
 
     The grid's formula summed over the data: c(theta) . sum_i T(x_i) on the
     dataset's cached feature sums, whose cost stays flat in dataset size,
-    plus sum_i h(theta, t(x_i)), evaluated in (rows x data) chunks.
+    plus sum_i h(theta, t(x_i)), evaluated in row blocks.
     """
     thetas = _param_rows(thetas)
     if family in POSITIVE_SUPPORT and not data.all_positive:
@@ -491,9 +489,17 @@ def log_likelihood_batch(family: ModelFamily, thetas: np.ndarray, data: Dataset)
     ll = np.einsum("ik,kj->ij", coef, data.feature_sums(family), optimize=False)[:, 0]
     if family in _CELL_TERM_OF_LOG_X:
         t = data.log_values if _CELL_TERM_OF_LOG_X[family] else data.values
-        for start in range(0, rows.shape[0], _LIKELIHOOD_CHUNK):
-            chunk = slice(start, start + _LIKELIHOOD_CHUNK)
-            ll[chunk] += np.sum(_cell_term(family, rows[chunk], t), axis=1)
+        # row blocks of at most _BLOCK_CELLS cells (h and its spare), reused
+        # through out=, so memory stays bounded and each pass stays in cache
+        step = max(1, _BLOCK_CELLS // (2 * data.n))
+        if rows.shape[0] <= step:
+            ll += _cell_term(family, rows, t).sum(axis=1)
+        else:
+            scratch = np.empty((2, step, data.n))
+            for start in range(0, rows.shape[0], step):
+                block = rows[start : start + step]
+                h, spare = scratch[:, : block.shape[0]]
+                ll[start : start + step] += _cell_term(family, block, t, h, spare).sum(axis=1)
     if every_row:
         out = ll
     else:

@@ -5,6 +5,7 @@ closed-form implementations they check.
 """
 
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -578,6 +579,40 @@ class TestLogPdfGrid:
             assert_same_bits(np.concatenate(blocks, axis=1), full)
         assert_same_bits(log_pdf_grid(family, thetas, x[::3]), full[:, ::3])
         assert_same_bits(log_pdf_grid(family, thetas[::7], x), full[::7])
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_likelihood_row_depends_only_on_its_row(self, family, rng):
+        # At n = 10^4 a 1000-row call spans many row blocks of the data
+        # term, so a row's value must not depend on which block it lands in
+        # or where in that block it sits.
+        box = default_uniform_prior(family)
+        thetas = rng.uniform(box.lo, box.hi, size=(1000, 2))
+        data = Dataset(sample(family, STUDY_THETAS[family], rng, 10**4))
+        batch = log_likelihood_batch(family, thetas, data)
+        order = rng.permutation(thetas.shape[0])
+        shuffled = np.empty_like(batch)
+        shuffled[order] = log_likelihood_batch(family, thetas[order], data)
+        assert_same_bits(shuffled, batch)
+        alone = np.array([log_likelihood_batch(family, row[None], data)[0] for row in thetas])
+        assert_same_bits(alone, batch)
+
+    @pytest.mark.parametrize(
+        "family", [ModelFamily.LOGISTIC, ModelFamily.LOGLOGISTIC, ModelFamily.WEIBULL]
+    )
+    def test_likelihood_data_term_memory_is_one_block(self, family, rng):
+        # The data term h runs over row blocks of about 1 MB that the call
+        # reuses, so its peak stays far below one (rows x data) array (80 MB
+        # here).
+        box = default_uniform_prior(family)
+        thetas = rng.uniform(box.lo, box.hi, size=(1000, 2))
+        data = Dataset(sample(family, STUDY_THETAS[family], rng, 10**4))
+        tracemalloc.start()
+        try:
+            log_likelihood_batch(family, thetas, data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20, peak
 
 
 class TestMomentMaps:

@@ -190,6 +190,26 @@ class TestAreaValidationMetric:
         assert d >= 0.0
         assert d == pytest.approx(np.mean(np.abs(np.asarray(values) - truth)), abs=1e-9)
 
+    def test_equals_the_breakpoint_integral(self, rng):
+        # oracle: |F - H| integrated exactly over the segments between the
+        # sorted breakpoints (sample values and truth), both curves constant
+        # on each segment
+        def breakpoint_area(values, truth):
+            breaks = np.unique(np.append(values, truth))
+            f = np.searchsorted(values, breaks, side="right") / values.size
+            step = (breaks >= truth).astype(float)
+            return np.sum(np.abs(f[:-1] - step[:-1]) * np.diff(breaks))
+
+        for _ in range(200):
+            n = int(rng.integers(1, 3000))
+            y = rng.normal(35.0, 4.0, n)
+            if rng.random() < 0.5:
+                y = np.round(y, 1)  # ties
+            truth = rng.choice([rng.choice(y), y.min() - 3.0, y.max() + 3.0, 35.0])
+            cdf = EmpiricalCdf.from_samples(y)
+            want = breakpoint_area(cdf.values, truth)
+            assert area_validation_metric(cdf, truth) == pytest.approx(want, rel=1e-15, abs=0.0)
+
     def test_zero_only_when_all_mass_at_truth(self, rng):
         y = rng.normal(0.0, 1.0, 100)
         assert area_validation_metric(EmpiricalCdf.from_samples(y), 0.0) > 0.0

@@ -613,12 +613,19 @@ class TestConfig:
             {"parameter_priors": "ABS-B"},
             {"dataset_sizes": 100},
             {"dataset_sizes": 100.0},
+            {"model_priors": {"uniform": 1}},
+            {"parameter_priors": {"ABS-B": 1}},
+            {"model_priors": None},
+            {"dataset_sizes": None},
         ],
-        ids=["model_priors", "parameter_priors", "dataset_sizes-int", "dataset_sizes-float"],
+        ids=["model_priors", "parameter_priors", "dataset_sizes-int", "dataset_sizes-float",
+             "model_priors-object", "parameter_priors-object", "model_priors-null",
+             "dataset_sizes-null"],
     )
     def test_grid_axis_given_a_scalar_rejected(self, bad, tmp_path):
         # a string used to be split into one-letter names ("unknown model
-        # prior 'u'") and a number to fail with a TypeError
+        # prior 'u'"), a JSON object taken as its keys, and a number or null
+        # to fail with a TypeError
         axis = next(iter(bad))
         with pytest.raises(ValueError, match=f"{axis} must be a list"):
             ExperimentConfig(**bad)
