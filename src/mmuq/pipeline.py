@@ -9,13 +9,18 @@ still run.
 Every shared artifact (dataset, prior, chain, evidences, BICs,
 ensemble, true output statistics) is built once per pipeline and kept in
 one store, keyed by the method that builds it and its arguments; the
-manifest records sit in the same store.  The unit of parallel work is a
-panel, one (size, parameter prior) pair with all its model-prior cells.
-With ``workers=N`` the calling process runs panels itself and keeps up to
-N-1 more running at once, each in a child forked for that one panel; a
-child sends back its result and the store entries it added, the caller
-merges them into its own store, and a child that dies fails only its own
-panel.
+manifest records sit in the same store.  A posterior chain is built only
+when something reads it: an ensemble asks for the chains of the families
+its members drew, and quantify's chain summary for all seven.  So a
+propagate run that follows no quantify builds only the drawn chains, and
+a chain that fails for a family no member drew fails no cell.
+
+The unit of parallel work is a panel, one (size, parameter prior) pair
+with all its model-prior cells.  With ``workers=N`` the calling process
+runs panels itself and keeps up to N-1 more running at once, each in a
+child forked for that one panel; a child sends back its result and the
+store entries it added, the caller merges them into its own store, and a
+child that dies fails only its own panel.
 """
 
 from __future__ import annotations
@@ -217,15 +222,9 @@ class StudyPipeline:
 
     @_memo
     def ensemble(self, size: int, param_prior: str, model_prior: str) -> DistributionEnsemble:
-        probs = self.posterior_probs(size, param_prior, model_prior)
-        chains = {
-            fam: self.chain(size, param_prior, fam)
-            for j, fam in enumerate(FAMILIES)
-            if probs.pi_hat[j] > 0.0
-        }
         return draw_ensemble(
-            chains,
-            probs,
+            lambda fam: self.chain(size, param_prior, fam),
+            self.posterior_probs(size, param_prior, model_prior),
             self.config.n_d,
             rng_for(self.config.seed, "ensemble", size, param_prior, model_prior),
         )

@@ -11,7 +11,7 @@ in a single pass over the physics function.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
@@ -73,34 +73,32 @@ class PropagationResult:
 
 
 def draw_ensemble(
-    posteriors: Mapping[ModelFamily, PosteriorChain],
+    chain_of: Callable[[ModelFamily], PosteriorChain],
     probs: ModelPosteriorProbs,
     n_d: int,
     rng: np.random.Generator,
 ) -> DistributionEnsemble:
     """Draw ``n_d`` members: family by a categorical draw over the posterior
-    model probabilities, parameters uniformly from that family's chain."""
+    model probabilities, parameters uniformly from that family's chain.
+
+    ``chain_of(family)`` is asked once for each family the categorical draw
+    picks, after the draw, and never for a family no member drew, however
+    large its probability; an error it raises propagates.  Every member
+    depends only on ``rng`` and the chains of the drawn families.
+    """
     if n_d < 1:
         raise ValueError("n_d must be >= 1")
     pi_hat = probs.pi_hat
     if pi_hat.size != len(FAMILIES):
         raise ValueError("probs must cover the full candidate set")
-    for j, fam in enumerate(FAMILIES):
-        if pi_hat[j] > 0.0 and (
-            fam not in posteriors or posteriors[fam].samples.shape[0] == 0
-        ):
-            raise ValueError(f"no posterior chain for {fam} with positive probability")
 
     codes = rng.choice(len(FAMILIES), size=n_d, p=pi_hat)
-    lengths = np.array(
-        [posteriors[f].samples.shape[0] if f in posteriors else 1 for f in FAMILIES]
-    )
-    rows = np.floor(rng.random(n_d) * lengths[codes]).astype(np.int64)
+    drawn = {j: chain_of(FAMILIES[j]).samples for j in np.unique(codes)}
+    u = rng.random(n_d)
     thetas = np.empty((n_d, 2))
-    for j, fam in enumerate(FAMILIES):
+    for j, samples in drawn.items():
         sel = codes == j
-        if np.any(sel):
-            thetas[sel] = posteriors[fam].samples[rows[sel]]
+        thetas[sel] = samples[np.floor(u[sel] * samples.shape[0]).astype(np.int64)]
     return DistributionEnsemble(codes, thetas)
 
 

@@ -17,10 +17,10 @@ from conftest import generalized_bic_weights
 from mmuq import pipeline as pipeline_module
 from mmuq.cli import main
 from mmuq.config import MODEL_PRIOR_NAMES, ExperimentConfig, load_config, model_prior_probs
-from mmuq.distributions import FAMILIES
+from mmuq.distributions import FAMILIES, ModelFamily
 from mmuq.evidence import aic_weights, information_criteria, savvy_priors
 from mmuq.io import write_dataset_csv
-from mmuq.mcmc import EnsembleConfig
+from mmuq.mcmc import DegenerateChainError, EnsembleConfig
 from mmuq.pipeline import StudyPipeline
 from mmuq.propagation import propagate
 
@@ -504,6 +504,60 @@ class TestWorkerProcesses:
         assert manifest["panels"]["10/noninformative"] == {"seconds": None, "process": "worker"}
         assert manifest["panels"]["25/noninformative"]["process"] == "worker"
         assert manifest["panels"]["50/noninformative"]["process"] == "caller"
+
+
+class TestChainsOnDemand:
+    def test_failing_chain_of_an_undrawn_family_fails_no_cell(
+        self, tmp_path, monkeypatch, caplog
+    ):
+        # At n=25 Weibull keeps a small positive probability but none of
+        # the 40 members draws it, so only the chain summary asks for its
+        # chain.
+        cfg = tiny_grid(
+            tmp_path, 1, dataset_sizes=(25,),
+            parameter_priors=("noninformative",), model_priors=("uniform",),
+        )
+        original = pipeline_module.sample_posterior
+
+        def sabotaged(family, *args):
+            if family is ModelFamily.WEIBULL:
+                raise DegenerateChainError("stuck chain")
+            return original(family, *args)
+
+        monkeypatch.setattr(pipeline_module, "sample_posterior", sabotaged)
+        assert StudyPipeline(cfg).run_propagate().all_ok
+        pipeline = StudyPipeline(cfg)
+        with caplog.at_level(logging.ERROR, logger="mmuq.pipeline"):
+            assert pipeline.run_quantify().all_ok
+        weibull = FAMILIES.index(ModelFamily.WEIBULL)
+        assert pipeline.posterior_probs(25, "noninformative", "uniform").pi_hat[weibull] > 0.0
+        assert weibull not in pipeline.ensemble(25, "noninformative", "uniform").family_codes
+        rows = read_csv(cfg.cell_dir(25, "noninformative") / "chain_summary.csv")
+        assert {r["model"] for r in rows} == {f.value for f in FAMILIES} - {"Weibull"}
+        assert "chain summary" in caplog.text and "stuck chain" in caplog.text
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_propagate_only_builds_the_drawn_chains_alone(
+        self, workers, serial_and_forked, tmp_path
+    ):
+        cfg = tiny_grid(tmp_path / "study", workers)
+        pipeline = StudyPipeline(cfg)
+        assert pipeline.run_propagate().all_ok
+        drawn = {
+            f"{size}/{pp}/{FAMILIES[j].value}"
+            for size, pp, mp in cfg.grid()
+            for j in np.unique(pipeline.ensemble(size, pp, mp).family_codes)
+        }
+        built = {f"{k[1]}/{k[2]}/{k[3].value}" for k in pipeline._built if k[0] == "chain"}
+        manifest = json.loads((cfg.out_root / "manifest_propagate.json").read_text())
+        assert built == drawn == set(manifest["chains"])
+        panels = len(cfg.dataset_sizes) * len(cfg.parameter_priors)
+        assert len(drawn) < panels * len(FAMILIES)
+        # the same propagate CSVs as after a quantify that built every chain
+        after_quantify = serial_and_forked[1][1]
+        alone = csv_digests(tmp_path / "study")
+        assert len(alone) == 5 * len(list(cfg.grid()))
+        assert alone == {k: after_quantify[k] for k in alone}
 
 
 class TestCli:

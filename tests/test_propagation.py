@@ -96,13 +96,13 @@ class TestDrawEnsemble:
         chains = synthetic_chains(rng)
         pi = np.zeros(7)
         pi[0] = 1.0
-        ens = draw_ensemble(chains, posterior_probs(pi), 200, rng)
+        ens = draw_ensemble(chains.__getitem__, posterior_probs(pi), 200, rng)
         assert np.all(ens.family_codes == 0)
 
     def test_multinomial_counts_within_bound(self, rng):
         chains = synthetic_chains(rng)
         n_d = 5000
-        ens = draw_ensemble(chains, posterior_probs(np.full(7, 1 / 7)), n_d, rng)
+        ens = draw_ensemble(chains.__getitem__, posterior_probs(np.full(7, 1 / 7)), n_d, rng)
         expected = n_d / 7.0
         bound = 4.0 * np.sqrt(n_d * (1 / 7) * (6 / 7))
         for j in range(7):
@@ -110,7 +110,7 @@ class TestDrawEnsemble:
 
     def test_parameters_come_from_the_chains(self, rng):
         chains = synthetic_chains(rng)
-        ens = draw_ensemble(chains, posterior_probs(np.full(7, 1 / 7)), 300, rng)
+        ens = draw_ensemble(chains.__getitem__, posterior_probs(np.full(7, 1 / 7)), 300, rng)
         for i in range(ens.n_members):
             fam, theta = ens.member(i)
             rows = chains[fam].samples
@@ -119,16 +119,91 @@ class TestDrawEnsemble:
     def test_deterministic(self, rng):
         chains = synthetic_chains(rng)
         probs = posterior_probs(np.full(7, 1 / 7))
-        a = draw_ensemble(chains, probs, 100, np.random.default_rng(9))
-        b = draw_ensemble(chains, probs, 100, np.random.default_rng(9))
+        a = draw_ensemble(chains.__getitem__, probs, 100, np.random.default_rng(9))
+        b = draw_ensemble(chains.__getitem__, probs, 100, np.random.default_rng(9))
         np.testing.assert_array_equal(a.family_codes, b.family_codes)
         np.testing.assert_array_equal(a.thetas, b.thetas)
 
     def test_missing_chain_for_live_model_raises(self, rng):
         chains = synthetic_chains(rng)
         del chains[ModelFamily.WEIBULL]
-        with pytest.raises(ValueError, match="Weibull"):
-            draw_ensemble(chains, posterior_probs(np.full(7, 1 / 7)), 10, rng)
+        pi = np.zeros(7)
+        pi[FAMILIES.index(ModelFamily.WEIBULL)] = 1.0
+        with pytest.raises(KeyError, match="Weibull"):
+            draw_ensemble(chains.__getitem__, posterior_probs(pi), 10, rng)
+
+    def test_missing_chain_for_undrawn_live_model_is_not_asked_for(self, rng):
+        chains = synthetic_chains(rng)
+        del chains[ModelFamily.WEIBULL]
+        weibull = FAMILIES.index(ModelFamily.WEIBULL)
+        pi = np.full(7, 1 / 6)
+        pi[weibull] = 1e-300
+        ens = draw_ensemble(chains.__getitem__, posterior_probs(pi), 500, rng)
+        assert not np.any(ens.family_codes == weibull)
+
+
+def eager_draw_ensemble(posteriors, probs, n_d, rng):
+    """Reference: every chain with positive probability looked up before the
+    categorical draw, each member's row drawn as a scaled uniform."""
+    for j, fam in enumerate(FAMILIES):
+        if probs.pi_hat[j] > 0.0 and fam not in posteriors:
+            raise ValueError(f"no posterior chain for {fam} with positive probability")
+    codes = rng.choice(len(FAMILIES), size=n_d, p=probs.pi_hat)
+    lengths = np.array(
+        [posteriors[f].samples.shape[0] if f in posteriors else 1 for f in FAMILIES]
+    )
+    rows = np.floor(rng.random(n_d) * lengths[codes]).astype(np.int64)
+    thetas = np.empty((n_d, 2))
+    for j, fam in enumerate(FAMILIES):
+        sel = codes == j
+        if np.any(sel):
+            thetas[sel] = posteriors[fam].samples[rows[sel]]
+    return DistributionEnsemble(codes, thetas)
+
+
+def one_hot(j):
+    pi = np.zeros(7)
+    pi[j] = 1.0
+    return pi
+
+
+def tiny_on_two(j, k):
+    pi = np.full(7, 1 / 5)
+    pi[[j, k]] = 1e-300
+    return pi
+
+
+class TestDrawEnsembleMatchesEagerReference:
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize(
+        "pi_hat",
+        [np.full(7, 1 / 7), one_hot(0), one_hot(4), tiny_on_two(1, 6), tiny_on_two(2, 3)],
+        ids=["uniform", "one-hot-0", "one-hot-4", "tiny-1-6", "tiny-2-3"],
+    )
+    def test_members_equal_and_chains_asked_once_per_drawn_family(self, seed, pi_hat):
+        # chains of different lengths, so a row index scaled by the wrong
+        # family's length would show
+        chain_rng = np.random.default_rng(100 + seed)
+        chains = {
+            fam: PosteriorChain(
+                chain_rng.standard_normal((50 + 37 * j, 2)) + 10.0, acceptance_rate=0.5
+            )
+            for j, fam in enumerate(FAMILIES)
+        }
+        probs = posterior_probs(pi_hat)
+        asked = []
+
+        def chain_of(fam):
+            asked.append(fam)
+            return chains[fam]
+
+        want = eager_draw_ensemble(chains, probs, 700, np.random.default_rng(seed))
+        got = draw_ensemble(chain_of, probs, 700, np.random.default_rng(seed))
+        np.testing.assert_array_equal(got.family_codes, want.family_codes)
+        np.testing.assert_array_equal(got.thetas, want.thetas)
+        drawn = {FAMILIES[j] for j in np.unique(want.family_codes)}
+        assert len(asked) == len(set(asked)) and set(asked) == drawn
+        assert not drawn & {FAMILIES[j] for j in np.flatnonzero(pi_hat < 1e-100)}
 
 
 class TestMixtureDensity:
@@ -149,7 +224,7 @@ class TestMixtureDensity:
 
     def test_integrates_to_one(self, rng):
         chains = synthetic_chains(rng)
-        ens = draw_ensemble(chains, posterior_probs(np.full(7, 1 / 7)), 150, rng)
+        ens = draw_ensemble(chains.__getitem__, posterior_probs(np.full(7, 1 / 7)), 150, rng)
         x = np.linspace(1e-6, 90.0, 40_001)
         integral = np.trapezoid(mixture_density(ens, x), x)
         assert integral == pytest.approx(1.0, abs=0.005)
@@ -173,7 +248,7 @@ class TestSampleMixture:
 
     def test_ks_against_quadrature_cdf(self, rng):
         chains = synthetic_chains(rng)
-        ens = draw_ensemble(chains, posterior_probs(np.full(7, 1 / 7)), 60, rng)
+        ens = draw_ensemble(chains.__getitem__, posterior_probs(np.full(7, 1 / 7)), 60, rng)
         n = 10**5
         draws = np.sort(sample_mixture(ens, rng, n))
         grid, cum = mixture_cdf_quadrature(ens, 1e-6, 90.0)
@@ -185,7 +260,7 @@ class TestSampleMixture:
 
     def test_deterministic(self, rng):
         chains = synthetic_chains(rng)
-        ens = draw_ensemble(chains, posterior_probs(np.full(7, 1 / 7)), 40, rng)
+        ens = draw_ensemble(chains.__getitem__, posterior_probs(np.full(7, 1 / 7)), 40, rng)
         a = sample_mixture(ens, np.random.default_rng(2), 500)
         b = sample_mixture(ens, np.random.default_rng(2), 500)
         np.testing.assert_array_equal(a, b)
@@ -235,13 +310,13 @@ class TestPropagate:
 
     def test_self_normalization_band(self, rng):
         chains = synthetic_chains(rng)
-        ens = draw_ensemble(chains, posterior_probs(np.full(7, 1 / 7)), 50, rng)
+        ens = draw_ensemble(chains.__getitem__, posterior_probs(np.full(7, 1 / 7)), 50, rng)
         res = propagate(ens, buckling_response(MEAN_PLATE), 10**5, rng)
         assert np.all(res.mean_weights > 0.95) and np.all(res.mean_weights < 1.05)
 
     def test_ten_member_oracle_equivalence(self, rng):
         chains = synthetic_chains(rng, spread=0.03)
-        ens = draw_ensemble(chains, posterior_probs(np.full(7, 1 / 7)), 10, rng)
+        ens = draw_ensemble(chains.__getitem__, posterior_probs(np.full(7, 1 / 7)), 10, rng)
         n = 10**5
         g = buckling_response(MEAN_PLATE)
         res = propagate(ens, g, n, rng, failure_threshold=0.6)
@@ -282,7 +357,7 @@ class TestPropagate:
 
     def test_exchangeability_under_permutation(self, rng):
         chains = synthetic_chains(rng)
-        ens = draw_ensemble(chains, posterior_probs(np.full(7, 1 / 7)), 30, rng)
+        ens = draw_ensemble(chains.__getitem__, posterior_probs(np.full(7, 1 / 7)), 30, rng)
         x = sample_mixture(ens, np.random.default_rng(3), 5000)
         perm = np.random.default_rng(4).permutation(30)
         res = propagate(ens, buckling_response(MEAN_PLATE), 5000,
