@@ -32,20 +32,22 @@ per-row coefficients (``_coefficients``) times a few per-point features
 t(x) = x or ln x.  h is 0 for the exponential families Normal, Lognormal,
 Gamma and InverseGaussian; Logistic and Loglogistic put the standard logistic
 log density of (t - p1) / p2 into it, and Weibull -exp(k (ln x - ln s)).
-The density grid (``log_pdf_grid``) is one (rows x K) . (K x points) product
-plus h on the block.  The likelihood (``log_likelihood_batch``) is
-c(theta) . sum_i T(x_i), from feature sums cached on the :class:`Dataset`,
-plus h summed over the data in row blocks of at most ``_BLOCK_CELLS`` cells
-that reuse one scratch allocation, so the exponential families cost the same
-at any dataset size and the others need about 1 MB at any size.  On
-noninformative-box rows the grid takes about 2-3 ns per cell for the
-exponential families and 13.6, 14.4 and 12.4 ns for Logistic, Loglogistic
-and Weibull on a (1000 x 131) block, and the likelihood's h takes 5.4, 5.4
-and 2.3 ns per cell on 1000 rows at 10^4 points (shared 2-core x86-64
-host).  The linear form rounds differently from a direct formula, within a
-few ulps of its largest term sum_k |c_k T_k(x)|.  A cell's value depends only
-on its own parameter row and point, never on the other rows or points of the
-call.
+The density grid (``log_pdf_grid``) is one (rows x K) . (K x points) GEMM
+(``_matmul``) plus h on the block.  The likelihood (``log_likelihood_batch``)
+is c(theta) . sum_i T(x_i), the same product on feature sums cached on the
+:class:`Dataset`, plus h summed over the data in row blocks of at most
+``_BLOCK_CELLS`` cells that reuse one scratch allocation, so the exponential
+families cost the same at any dataset size and the others need about 1 MB at
+any size.  On a (1000 x 131) block of noninformative-box rows the grid takes
+1.8, 2.3, 5.5 and 2.1 ns per cell for Normal, Lognormal, Gamma and
+InverseGaussian, and 20.3, 19.0 and 10.8 ns for Logistic, Loglogistic and
+Weibull, where the same rounds read 3.2, 3.5, 6.9, 3.9, 19.8, 19.8 and 11.9
+ns with the linear form as an einsum; the likelihood's h takes 5.4, 5.4 and
+2.3 ns per cell on 1000 rows at 10^4 points (shared 2-core x86-64 host,
+OpenBLAS 0.3.31).  The linear form rounds differently from a direct
+formula, within a few ulps of its largest term sum_k |c_k T_k(x)|.  A
+cell's value depends only on its own parameter row and point, never on the
+other rows or points of the call.
 """
 
 from __future__ import annotations
@@ -273,15 +275,27 @@ def _outside(family: ModelFamily, x: np.ndarray) -> np.ndarray:
 # densities and sampling
 
 
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` on BLAS's GEMM path.  np.matmul sends a one-row ``a`` to
+    GEMV, which adds in another order (and splits a long sum across
+    threads), so a one-row ``a`` is padded to two rows and the spare row
+    dropped.  Each cell then depends only on its own row of ``a`` and
+    column of ``b``.  An inner dimension of 1 has nothing to sum, and
+    np.matmul's own loop for it is slower than the outer product."""
+    if a.shape[1] == 1:
+        return a * b
+    if a.shape[0] != 1:
+        return a @ b
+    return (np.concatenate((a, a)) @ b)[:1]
+
+
 def _features(family: ModelFamily, x: np.ndarray) -> np.ndarray:
     """The (K x max(points, 2)) features T(x): [u^2, u, 1] with u = t(x) - c0
     (t(x) = x or ln x) for Normal and Lognormal, [ln x, x, 1] for Gamma,
     [ln x, x, 1/x, 1] for InverseGaussian, [ln x, 1] for Loglogistic and
-    Weibull and [1] for Logistic.  np.einsum sums the K terms of a cell in
-    one order only while the point axis is its inner loop; one point would
-    make the term axis the inner loop (a dot kernel that adds in another
-    order), so a single point gets a padding column, 0 but for the constant
-    feature."""
+    Weibull and [1] for Logistic.  np.matmul sends a one-column product to
+    GEMV, which adds the K terms of a cell in another order than GEMM, so a
+    single point gets a padding column, 0 but for the constant feature."""
     n = x.size
     feats = np.zeros((_LINEAR_FEATURES[family], max(n, 2)))
     if family in _QUADRATIC_CENTRE:
@@ -486,7 +500,7 @@ def log_likelihood_batch(family: ModelFamily, thetas: np.ndarray, data: Dataset)
     every_row = ok.all()
     rows = thetas if every_row else thetas[ok]
     coef = _coefficients(family, rows)
-    ll = np.einsum("ik,kj->ij", coef, data.feature_sums(family), optimize=False)[:, 0]
+    ll = _matmul(coef, data.feature_sums(family))[:, 0]
     if family in _CELL_TERM_OF_LOG_X:
         t = data.log_values if _CELL_TERM_OF_LOG_X[family] else data.values
         # row blocks of at most _BLOCK_CELLS cells (h and its spare), reused
@@ -528,7 +542,7 @@ def log_pdf_grid(family: ModelFamily, thetas: np.ndarray, x: np.ndarray) -> np.n
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         feats = _features(family, x)
         coef = _coefficients(family, thetas)
-        out = np.einsum("ik,kj->ij", coef, feats, optimize=False)[:, :n]
+        out = _matmul(coef, feats)[:, :n]
         if family in _CELL_TERM_OF_LOG_X:
             # feature 0 of Loglogistic and Weibull is ln x
             out += _cell_term(family, thetas, feats[0, :n] if _CELL_TERM_OF_LOG_X[family] else x)

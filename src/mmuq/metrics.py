@@ -82,7 +82,7 @@ def _member_square_distance(
     of the (points x k) quadrature ``weights`` on ``x``: one evaluation of
     every member density, one matrix product per density block."""
     total = np.zeros(weights.shape[1])
-    for _, cols, dens in _density_blocks(ens, x):
+    for cols, dens in _density_blocks(ens, x):
         dens -= truth_density[cols]
         dens *= dens
         total += np.sum(dens @ weights[cols], axis=0)

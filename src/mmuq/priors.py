@@ -17,6 +17,7 @@ import numpy as np
 
 from .distributions import (
     _BLOCK_CELLS,
+    _matmul,
     _param_rows,
     Dataset,
     ModelFamily,
@@ -140,12 +141,12 @@ class KdePrior:
         exponent so a point far from every kernel stays finite.  With t and
         s the centred, bandwidth-scaled point and support, each kernel's
         exponent -|t - s|^2 / 2 is expanded as t.s - |s|^2 / 2 - |t|^2 / 2:
-        one BLAS product [t0, t1, 1] . ``_kernel_terms`` per block of rows,
-        with the per-row |t|^2 / 2 subtracted after the sum.  Cost is
-        O(rows x kernels) ``exp`` calls.  Rows go through in blocks of as
-        many as fit ``_BLOCK_CELLS`` cells (at least two), so memory is
-        bounded by one (block x kernels) float64 block, whatever the row
-        count.  A row's value depends only on that row, never on the other
+        one GEMM [t0, t1, 1] . ``_kernel_terms`` per block of rows
+        (``_matmul``, which pads a one-row block), with the per-row
+        |t|^2 / 2 subtracted after the sum.  Cost is O(rows x kernels)
+        ``exp`` calls.  Rows go through in blocks of as many as fit
+        ``_BLOCK_CELLS`` cells (at least two), so memory is bounded by one
+        (block x kernels) float64 block, whatever the row count.  A row's value depends only on that row, never on the other
         rows of the call.
 
         The expansion rounds differently from the direct square, by at most
@@ -157,17 +158,15 @@ class KdePrior:
         """
         thetas = _param_rows(thetas)
         rows = thetas.shape[0]
-        # one spare row: np.matmul sends a one-row product to BLAS's GEMV,
-        # which rounds differently from GEMM, so a one-row block is padded
-        feats = np.ones((rows + 1, PARAM_DIM + 1))
-        t = feats[:rows, :PARAM_DIM]
+        feats = np.ones((rows, PARAM_DIM + 1))
+        t = feats[:, :PARAM_DIM]
         np.divide(thetas, self.bandwidths, out=t)
         t -= self._centre
         block = max(2, _BLOCK_CELLS // self.n_components)
         out = np.empty(rows)
         for start in range(0, rows, block):
             stop = min(start + block, rows)
-            expo = (feats[start : max(stop, start + 2)] @ self._kernel_terms)[: stop - start]
+            expo = _matmul(feats[start:stop], self._kernel_terms)
             peak = np.max(expo, axis=1)
             expo -= peak[:, None]
             np.exp(expo, out=expo)

@@ -15,7 +15,14 @@ from typing import Callable
 
 import numpy as np
 
-from .distributions import _BLOCK_CELLS, FAMILIES, ModelFamily, log_pdf_grid, sample_one_per
+from .distributions import (
+    _BLOCK_CELLS,
+    _matmul,
+    FAMILIES,
+    ModelFamily,
+    log_pdf_grid,
+    sample_one_per,
+)
 from .evidence import ModelPosteriorProbs
 from .mcmc import PosteriorChain
 
@@ -102,16 +109,22 @@ def draw_ensemble(
     return DistributionEnsemble(codes, thetas)
 
 
+def _by_family(ens: DistributionEnsemble) -> np.ndarray:
+    """Member indices sorted stably by family: the row order of every
+    ``_density_blocks`` block."""
+    return np.argsort(ens.family_codes, kind="stable")
+
+
 def _density_blocks(ens: DistributionEnsemble, x: np.ndarray):
-    """Yield ``(order, cols, dens)`` over consecutive column blocks of ``x``.
+    """Yield ``(cols, dens)`` over consecutive column blocks of ``x``.
 
     ``dens`` holds every member's density at ``x[cols]``, one row per
-    member in the family-sorted ``order``: one ``log_pdf_grid`` call per
-    family, exponentiated in place.  A block holds at most
-    ``_BLOCK_CELLS`` cells (at least one column), so memory stays bounded
-    whatever the member and point counts.
+    member in ``_by_family`` order: one ``log_pdf_grid`` call per family,
+    exponentiated in place.  A block holds at most ``_BLOCK_CELLS`` cells
+    (at least one column), so memory stays bounded whatever the member and
+    point counts.
     """
-    order = np.argsort(ens.family_codes, kind="stable")
+    order = _by_family(ens)
     codes = ens.family_codes[order]
     thetas = ens.thetas[order]
     _, starts = np.unique(codes, return_index=True)
@@ -126,17 +139,30 @@ def _density_blocks(ens: DistributionEnsemble, x: np.ndarray):
             for lo, hi in runs:
                 dens[lo:hi] = log_pdf_grid(FAMILIES[codes[lo]], thetas[lo:hi], x[cols])
         np.exp(dens, out=dens)
-        yield order, cols, dens
+        yield cols, dens
+
+
+def _member_mean(dens: np.ndarray) -> np.ndarray:
+    """Mean over the members (rows) of a density block, 1^T dens / rows, as
+    one GEMV.  np.matmul sends a one-column block to BLAS's dot, whose sum
+    over more than 10^4 rows splits across threads, so such a block gets a
+    padding column."""
+    rows, cols = dens.shape
+    if cols == 1:
+        dens = np.concatenate((dens, dens), axis=1)
+    q = (np.ones(rows) @ dens)[:cols]
+    q /= rows
+    return q
 
 
 def mixture_density(ens: DistributionEnsemble, x) -> np.ndarray | float:
-    """Equal-weight mixture density of the ensemble members at ``x``."""
+    """Equal-weight mixture density of the ensemble members at ``x``: the
+    importance-sampling density q of ``propagate``, by the same formula."""
     xa = np.asarray(x, dtype=float)
     flat = np.atleast_1d(xa).ravel()
     dens = np.empty(flat.size)
-    for _, cols, block in _density_blocks(ens, flat):
-        np.sum(block, axis=0, out=dens[cols])
-    dens /= ens.n_members
+    for cols, block in _density_blocks(ens, flat):
+        dens[cols] = _member_mean(block)
     return float(dens[0]) if xa.ndim == 0 else dens.reshape(xa.shape)
 
 
@@ -170,9 +196,13 @@ def propagate(
     ``x_samples`` reuses an existing mixture sample instead of drawing.
 
     Each member density is evaluated once per point: a block of points
-    gives the (members x points) density matrix, q from its column means,
-    and every member's weighted sums from one matrix product.  Memory is
-    bounded by one block of ``_BLOCK_CELLS`` cells, not by n_d x n.
+    gives the (members x points) density matrix, q from its column means
+    (one GEMV), and every member's weighted sums from one GEMM with the
+    (points x 4) moment columns, each point's row divided by its q, so the
+    weights p_i / q are never formed.  The sums stay in the blocks'
+    family-sorted row order until the loop ends.  Memory is bounded by one
+    block of ``_BLOCK_CELLS`` cells plus a few length-n arrays, not by
+    n_d x n.
     """
     if x_samples is None:
         x = sample_mixture(ens, rng, n)
@@ -194,12 +224,11 @@ def propagate(
     shifted = gv - r
     shifted *= shifted
     moments = np.column_stack([np.ones(n), gv, shifted, gv < failure_threshold])
-    sums = np.zeros((ens.n_members, 4))
-    for order, cols, dens in _density_blocks(ens, x):
-        q = np.sum(dens, axis=0)
-        q /= ens.n_members
-        dens /= q
-        sums[order] += dens @ moments[cols]
+    sorted_sums = np.zeros((ens.n_members, 4))
+    for cols, dens in _density_blocks(ens, x):
+        sorted_sums += _matmul(dens, moments[cols] / _member_mean(dens)[:, None])
+    sums = np.empty_like(sorted_sums)
+    sums[_by_family(ens)] = sorted_sums
     sums /= n
     mean_weights, means = sums[:, 0], sums[:, 1]
     # sum w (g - m)^2 / n about each member's own mean m, from the sums about

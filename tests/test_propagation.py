@@ -1,6 +1,8 @@
 """Ensemble drawing, mixture sampling density and importance-sampling
 propagation against nested Monte Carlo oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,15 @@ def mixed_ensemble():
     thetas[1::2] *= 1.1
     order = np.random.default_rng(11).permutation(codes.size)
     return DistributionEnsemble(codes[order], thetas[order])
+
+
+def lognormal_ensemble(n_d, seed=14):
+    """``n_d`` Lognormal members jittered about (0.5, 0.4) by 5%."""
+    jitter = 1.0 + 0.05 * np.random.default_rng(seed).standard_normal((n_d, 2))
+    return DistributionEnsemble(
+        np.full(n_d, FAMILIES.index(ModelFamily.LOGNORMAL)),
+        np.array(MIXED_THETAS[ModelFamily.LOGNORMAL]) * jitter,
+    )
 
 
 def dense_two_pass(ens, x, g, threshold):
@@ -374,15 +385,19 @@ class TestPropagate:
             ("mixed", 1001, 14 * 64),  # 64-point blocks, a 41-point tail
             ("single", 1001, 200),  # n_d = 1
             ("mixed", 300, 5),  # n_d above the cell budget: one point a block
+            ("lognormal", 1001, 240 * 16),  # one family: 63 blocks, a 9-point tail
         ],
     )
     def test_matches_dense_two_pass_reference(self, members, n, block_cells, monkeypatch):
         monkeypatch.setattr(propagation, "_BLOCK_CELLS", block_cells)
-        ens = mixed_ensemble() if members == "mixed" else single_member_ensemble(
-            ModelFamily.NORMAL, (1.0, 1.0)
-        )
+        ens = {
+            "mixed": mixed_ensemble,
+            "single": lambda: single_member_ensemble(ModelFamily.NORMAL, (1.0, 1.0)),
+            "lognormal": lambda: lognormal_ensemble(240),
+        }[members]()
         x = sample_mixture(ens, np.random.default_rng(12), n)
-        assert np.any(x <= 0.0)
+        # every ensemble but the Lognormal one has mass at x <= 0
+        assert np.any(x <= 0.0) or members == "lognormal"
 
         def g(v):
             return v * v + 1.0
@@ -426,6 +441,22 @@ class TestPropagate:
         propagate(ens, lambda v: v, n, np.random.default_rng(13))
         assert sum(cells) == ens.n_members * n
         assert max(widths) == 100  # blocks stay within the cell budget
+
+    def test_memory_is_a_few_blocks_not_members_times_points(self, monkeypatch):
+        # 500 members x 5000 points in 500 blocks of 10 points: the whole
+        # (members x points) matrix would take 20 MB, one block 40 kB
+        n_d, n, width = 500, 5000, 10
+        monkeypatch.setattr(propagation, "_BLOCK_CELLS", n_d * width)
+        ens = lognormal_ensemble(n_d)
+        x = sample_mixture(ens, np.random.default_rng(15), n)
+        tracemalloc.start()
+        try:
+            propagate(ens, lambda v: v * v, n, None, x_samples=x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a few blocks plus the length-n response and moment columns
+        assert peak < 8 * n_d * width * 8 + 16 * n * 8
 
     def test_non_finite_response_is_an_error(self):
         ens = single_member_ensemble(ModelFamily.NORMAL, (0.0, 1.0))
