@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import ModelFamily, log_pdf_grid
+from .distributions import ModelFamily, _matmul, log_pdf_grid
 from .propagation import DistributionEnsemble, _density_blocks
 
 __all__ = [
@@ -85,7 +85,7 @@ def _member_square_distance(
     for cols, dens in _density_blocks(ens, x):
         dens -= truth_density[cols]
         dens *= dens
-        total += np.sum(dens @ weights[cols], axis=0)
+        total += np.sum(_matmul(dens, weights[cols]), axis=0)
     return total
 
 

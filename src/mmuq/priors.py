@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import (
-    _BLOCK_CELLS,
+    _blocks,
     _matmul,
     _param_rows,
     Dataset,
@@ -142,12 +142,11 @@ class KdePrior:
         s the centred, bandwidth-scaled point and support, each kernel's
         exponent -|t - s|^2 / 2 is expanded as t.s - |s|^2 / 2 - |t|^2 / 2:
         one GEMM [t0, t1, 1] . ``_kernel_terms`` per block of rows
-        (``_matmul``, which pads a one-row block), with the per-row
-        |t|^2 / 2 subtracted after the sum.  Cost is O(rows x kernels)
-        ``exp`` calls.  Rows go through in blocks of as many as fit
-        ``_BLOCK_CELLS`` cells (at least two), so memory is bounded by one
-        (block x kernels) float64 block, whatever the row count.  A row's value depends only on that row, never on the other
-        rows of the call.
+        (``_matmul``), with the per-row |t|^2 / 2 subtracted after the sum.
+        Cost is O(rows x kernels) ``exp`` calls.  Rows go through in blocks
+        (``_blocks``), so memory is bounded by one (block x kernels) float64
+        block, whatever the row count.  A row's value depends only on that
+        row, never on the other rows of the call.
 
         The expansion rounds differently from the direct square, by at most
         eps (1 + |t|^2 / 2 + max |s|^2 / 2): 2e-14 absolute on n=1000 chain
@@ -162,15 +161,13 @@ class KdePrior:
         t = feats[:, :PARAM_DIM]
         np.divide(thetas, self.bandwidths, out=t)
         t -= self._centre
-        block = max(2, _BLOCK_CELLS // self.n_components)
         out = np.empty(rows)
-        for start in range(0, rows, block):
-            stop = min(start + block, rows)
-            expo = _matmul(feats[start:stop], self._kernel_terms)
+        for block in _blocks(rows, self.n_components):
+            expo = _matmul(feats[block], self._kernel_terms)
             peak = np.max(expo, axis=1)
             expo -= peak[:, None]
             np.exp(expo, out=expo)
-            out[start:stop] = peak + np.log(np.sum(expo, axis=1))
+            out[block] = peak + np.log(np.sum(expo, axis=1))
         out -= 0.5 * np.sum(t * t, axis=1) + self._log_norm
         return out
 

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .distributions import (
-    _BLOCK_CELLS,
+    _blocks,
     _matmul,
     FAMILIES,
     ModelFamily,
@@ -120,18 +120,15 @@ def _density_blocks(ens: DistributionEnsemble, x: np.ndarray):
 
     ``dens`` holds every member's density at ``x[cols]``, one row per
     member in ``_by_family`` order: one ``log_pdf_grid`` call per family,
-    exponentiated in place.  A block holds at most ``_BLOCK_CELLS`` cells
-    (at least one column), so memory stays bounded whatever the member and
-    point counts.
+    exponentiated in place.  Blocks are sized by ``_blocks``, so memory
+    stays bounded whatever the member and point counts.
     """
     order = _by_family(ens)
     codes = ens.family_codes[order]
     thetas = ens.thetas[order]
     _, starts = np.unique(codes, return_index=True)
     runs = list(zip(starts, np.append(starts[1:], codes.size)))
-    width = max(1, _BLOCK_CELLS // ens.n_members)
-    for start in range(0, x.size, width):
-        cols = slice(start, min(start + width, x.size))
+    for cols in _blocks(x.size, ens.n_members):
         if len(runs) == 1:
             dens = log_pdf_grid(FAMILIES[codes[0]], thetas, x[cols])
         else:
@@ -144,15 +141,9 @@ def _density_blocks(ens: DistributionEnsemble, x: np.ndarray):
 
 def _member_mean(dens: np.ndarray) -> np.ndarray:
     """Mean over the members (rows) of a density block, 1^T dens / rows, as
-    one GEMV.  np.matmul sends a one-column block to BLAS's dot, whose sum
-    over more than 10^4 rows splits across threads, so such a block gets a
-    padding column."""
-    rows, cols = dens.shape
-    if cols == 1:
-        dens = np.concatenate((dens, dens), axis=1)
-    q = (np.ones(rows) @ dens)[:cols]
-    q /= rows
-    return q
+    one GEMV (``_matmul``)."""
+    rows = dens.shape[0]
+    return _matmul(np.ones(rows), dens) / rows
 
 
 def mixture_density(ens: DistributionEnsemble, x) -> np.ndarray | float:
@@ -201,8 +192,7 @@ def propagate(
     (points x 4) moment columns, each point's row divided by its q, so the
     weights p_i / q are never formed.  The sums stay in the blocks'
     family-sorted row order until the loop ends.  Memory is bounded by one
-    block of ``_BLOCK_CELLS`` cells plus a few length-n arrays, not by
-    n_d x n.
+    block (``_density_blocks``) plus a few length-n arrays, not by n_d x n.
     """
     if x_samples is None:
         x = sample_mixture(ens, rng, n)

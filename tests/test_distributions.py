@@ -13,6 +13,8 @@ import pytest
 from scipy.special import gammaln, ndtr
 
 from mmuq.distributions import (
+    _matmul,
+    _valid_rows,
     FAMILIES,
     Dataset,
     InvalidParameterError,
@@ -27,7 +29,6 @@ from mmuq.distributions import (
     pdf,
     sample,
     sample_one_per,
-    theta_is_valid,
 )
 from mmuq.metrics import default_sigma0_grid
 from mmuq.priors import ENVELOPE_MEAN, default_uniform_prior
@@ -75,7 +76,7 @@ class TestLogPdf:
     def test_invalid_theta_raises(self, family):
         with pytest.raises(InvalidParameterError):
             log_pdf(family, (1.0, -1.0), 1.0)
-        assert not theta_is_valid(family, (1.0, np.nan))
+        assert not _valid_rows(family, np.array([[1.0, np.nan]]))[0]
 
     @pytest.mark.parametrize(
         "family,inside,past",
@@ -92,10 +93,10 @@ class TestLogPdf:
         # below 1e-154 is invalid also at p1 = c0, where 1 / p2^2 overflows
         # and the form read NaN.
         data = Dataset([35.0])
-        assert theta_is_valid(family, inside)
+        assert _valid_rows(family, np.array([inside]))[0]
         assert np.isfinite(log_pdf(family, inside, inside[0]))
         for theta in past:
-            assert not theta_is_valid(family, theta)
+            assert not _valid_rows(family, np.array([theta]))[0]
             with pytest.raises(InvalidParameterError):
                 log_pdf_grid(family, np.array([theta]), np.array([theta[0]]))
             assert log_likelihood_batch(family, np.array([theta]), data)[0] == -np.inf
@@ -267,6 +268,17 @@ class TestLogLikelihood:
         live = np.isfinite(out)
         assert np.count_nonzero(live) == 6
         np.testing.assert_array_equal(out[live], log_likelihood_batch(family, valid, data))
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("n", [1, 5000])
+    def test_batch_with_no_valid_row(self, family, n, rng):
+        # at n = 5000 these 40 rows would take four blocks of the data term
+        # h; with no valid row there is nothing to block, and no scratch
+        data = Dataset(sample(family, STUDY_THETAS[family], rng, n))
+        invalid = np.tile([[np.nan, 1.0], [1.0, -1.0], [np.inf, 1.0], [1.0, np.nan]], (10, 1))
+        out = log_likelihood_batch(family, invalid, data)
+        assert out.shape == (40,) and np.all(out == -np.inf)
+        assert log_likelihood_batch(family, np.empty((0, 2)), data).shape == (0,)
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_batch_overflow_rows_are_neg_inf(self, family):
@@ -615,6 +627,38 @@ class TestLogPdfGrid:
         assert peak <= 4 * 2**20, peak
 
 
+class TestMatmul:
+    """Every cell of ``_matmul`` on a degenerate operand equals, bit for
+    bit, the same cell of a product in which that operand sits inside a
+    larger one."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_one_row_and_one_column_cells(self, k, rng):
+        # inner dimensions of the linear forms and the KDE prior; np.matmul
+        # would send a one-row a or a one-column b to GEMV, which adds the
+        # K terms of a cell in another order than GEMM
+        a = rng.standard_normal((5, k))
+        b = rng.standard_normal((k, 6))
+        full = _matmul(a, b)
+        assert full.shape == (5, 6)
+        for i in range(5):
+            assert_same_bits(_matmul(a[i : i + 1], b), full[i : i + 1])
+        for j in range(6):
+            assert_same_bits(_matmul(a, b[:, j : j + 1]), full[:, j : j + 1])
+            assert_same_bits(_matmul(a[:1], b[:, j : j + 1]), full[:1, j : j + 1])
+
+    def test_vector_cells(self, rng):
+        # q in propagation: a vector a is a GEMV; on a one-column b
+        # np.matmul would call BLAS's dot, which adds this long sum in
+        # another order
+        v = rng.random(20_000)
+        b = rng.random((20_000, 2))
+        full = _matmul(v, b)
+        assert full.shape == (2,)
+        for j in range(2):
+            assert_same_bits(_matmul(v, b[:, j : j + 1]), full[j : j + 1])
+
+
 class TestMomentMaps:
     def test_lognormal_from_mean_cov_values(self, rng):
         theta = params_from_moments(ModelFamily.LOGNORMAL, 34.782, 0.116)
@@ -666,7 +710,7 @@ class TestDataset:
     def test_cached_statistics(self):
         d = Dataset([1.0, 2.0, 4.0])
         assert d.n == 3
-        # sum_i T(x_i) for each family, then a zero column
+        # sum_i T(x_i) for each family, as a column
         want = {
             ModelFamily.NORMAL: [39.0**2 + 38.0**2 + 36.0**2, -113.0, 3.0],
             ModelFamily.LOGNORMAL: [
@@ -682,6 +726,6 @@ class TestDataset:
         }
         for family, sums in want.items():
             got = d.feature_sums(family)
+            assert got.shape == (len(sums), 1)
             np.testing.assert_allclose(got[:, 0], sums, rtol=1e-14)
-            np.testing.assert_array_equal(got[:, 1], 0.0)
             assert d.feature_sums(family) is got

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mmuq import propagation
+from mmuq import distributions
 from mmuq.distributions import FAMILIES, ModelFamily, params_from_moments, pdf
 from mmuq.metrics import (
     CoarseGridError,
@@ -38,7 +38,7 @@ class TestAvgMeanSquareDistance:
         theta = params_from_moments(ModelFamily.LOGNORMAL, 34.782, 0.116)
         codes = np.full(40, FAMILIES.index(ModelFamily.LOGNORMAL))
         ens = DistributionEnsemble(codes, np.tile(theta, (40, 1)))
-        assert ens.n_members > propagation._BLOCK_CELLS // (2 * default_sigma0_grid().size)
+        assert ens.n_members > distributions._BLOCK_CELLS // (2 * default_sigma0_grid().size)
         assert avg_mean_square_distance(ens, (ModelFamily.LOGNORMAL, theta)) == 0.0
 
     @pytest.mark.parametrize("mu", [0.0, 0.4, 1.3])
@@ -71,7 +71,7 @@ class TestAvgMeanSquareDistance:
             [params_from_moments(FAMILIES[c], 34.782, 0.116) for c in codes]
         ) * rng.uniform(0.9, 1.1, size=(codes.size, 2))
         ens = DistributionEnsemble(codes, thetas)
-        assert ens.n_members > propagation._BLOCK_CELLS // x.size
+        assert ens.n_members > distributions._BLOCK_CELLS // x.size
         truth_theta = params_from_moments(ModelFamily.LOGNORMAL, 34.782, 0.116)
         truth = pdf(ModelFamily.LOGNORMAL, truth_theta, x)
         # two quadratures in one pass: over every point, and over every

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mmuq import propagation
+from mmuq import distributions, propagation
 from mmuq.buckling import MEAN_PLATE, buckling_response, pf_semianalytic
 from mmuq.distributions import (
     FAMILIES,
@@ -389,7 +389,7 @@ class TestPropagate:
         ],
     )
     def test_matches_dense_two_pass_reference(self, members, n, block_cells, monkeypatch):
-        monkeypatch.setattr(propagation, "_BLOCK_CELLS", block_cells)
+        monkeypatch.setattr(distributions, "_BLOCK_CELLS", block_cells)
         ens = {
             "mixed": mixed_ensemble,
             "single": lambda: single_member_ensemble(ModelFamily.NORMAL, (1.0, 1.0)),
@@ -407,6 +407,20 @@ class TestPropagate:
         for name in ("means", "pfs", "mean_weights"):
             np.testing.assert_allclose(getattr(res, name), ref[name], rtol=1e-12, err_msg=name)
         np.testing.assert_allclose(res.variances, ref["variances"], rtol=0.0, atol=1e-12)
+
+    @pytest.mark.xfail(
+        raises=(RuntimeWarning, ValueError),
+        reason="mixture draws at x <= 0 reach the buckling response",
+    )
+    def test_member_with_mass_below_zero_propagates(self):
+        # Open defect: Normal(20, 10) puts 2.3% of its mass at x <= 0, where
+        # the buckling response takes the square root of a negative number
+        # (a RuntimeWarning, else "g returned a non-finite value").  The fix
+        # (a positive yield floor) flips this.
+        ens = single_member_ensemble(ModelFamily.NORMAL, (20.0, 10.0))
+        res = propagate(ens, buckling_response(MEAN_PLATE), 2000, np.random.default_rng(4))
+        for stat in (res.means, res.variances, res.pfs, res.mean_weights):
+            assert np.all(np.isfinite(stat))
 
     def test_variance_is_not_negative_at_mean_weight_above_one(self):
         # Every point is drawn near the first member, so its mean weight W is
@@ -435,7 +449,7 @@ class TestPropagate:
             return out
 
         monkeypatch.setattr(propagation, "log_pdf_grid", counting)
-        monkeypatch.setattr(propagation, "_BLOCK_CELLS", 14 * 100)
+        monkeypatch.setattr(distributions, "_BLOCK_CELLS", 14 * 100)
         ens = mixed_ensemble()
         n = 1234
         propagate(ens, lambda v: v, n, np.random.default_rng(13))
@@ -446,7 +460,7 @@ class TestPropagate:
         # 500 members x 5000 points in 500 blocks of 10 points: the whole
         # (members x points) matrix would take 20 MB, one block 40 kB
         n_d, n, width = 500, 5000, 10
-        monkeypatch.setattr(propagation, "_BLOCK_CELLS", n_d * width)
+        monkeypatch.setattr(distributions, "_BLOCK_CELLS", n_d * width)
         ens = lognormal_ensemble(n_d)
         x = sample_mixture(ens, np.random.default_rng(15), n)
         tracemalloc.start()
