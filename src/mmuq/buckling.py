@@ -9,6 +9,7 @@ their mean values.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -57,9 +58,9 @@ class PlateConfig:
     eta: float = 5.25
 
     def __post_init__(self) -> None:
-        for name in ("b", "t", "sigma0", "E", "delta0", "eta"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+        for name, value in vars(self).items():
+            if type(value) is bool or not isinstance(value, numbers.Real) or not 0 < value < np.inf:
+                raise ValueError(f"plate {name} must be a finite positive number, got {value!r}")
         if self.b <= self.t:
             raise ValueError("plate width must exceed thickness")
 

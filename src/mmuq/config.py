@@ -6,7 +6,7 @@ import hashlib
 import json
 import numbers
 from collections.abc import Iterable, Mapping
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -123,6 +123,11 @@ class ExperimentConfig:
                 raise ValueError(f"{count_name} must be >= 1")
         if self.kde_max_components < 2:
             raise ValueError("kde_max_components must be >= 2")
+        t = self.failure_threshold
+        if isinstance(t, bool) or not isinstance(t, numbers.Real) or not np.isfinite(t):
+            raise ValueError(f"failure_threshold must be a finite number, got {t!r}")
+        if not isinstance(self.plate, PlateConfig):
+            raise ValueError(f"plate must be a PlateConfig (a JSON object), got {self.plate!r}")
         # build both sampler configs so bad walker or burn-in settings fail
         # here rather than in every grid cell
         for stage in ("chain", "pre_prior"):
@@ -171,12 +176,12 @@ def load_config(path: str | Path) -> ExperimentConfig:
     raw = json.loads(Path(path).read_text())
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: config must be a JSON object")
-    plate = raw.pop("plate", None)
-    known = set(ExperimentConfig.__dataclass_fields__)
-    unknown = set(raw) - known
+    unknown = set(raw) - set(ExperimentConfig.__dataclass_fields__)
     if unknown:
         raise ValueError(f"{path}: unknown config keys {sorted(unknown)}")
-    cfg = ExperimentConfig(**raw)
-    if plate is not None:
-        cfg = replace(cfg, plate=PlateConfig(**plate))
-    return cfg
+    if isinstance(raw.get("plate"), dict):
+        try:
+            raw["plate"] = PlateConfig(**raw["plate"])
+        except TypeError as err:  # an unknown plate field
+            raise ValueError(f"plate: {err}") from None
+    return ExperimentConfig(**raw)

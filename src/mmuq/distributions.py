@@ -21,7 +21,8 @@ hot path for MCMC / evidence / propagation loops: ``log_likelihood_batch``
 maps invalid parameter rows to -inf, so proposals outside the physical domain
 are rejected rather than crashing the pipeline, while ``log_pdf_grid`` and
 ``sample_one_per`` take rows already drawn from a valid chain and raise on an
-invalid one.
+invalid one.  Each batch call has one path: its formula on every row and
+point (numpy's divide, invalid and overflow warnings off), then one -inf mask.
 
 Every family's log density is written once as
 
@@ -38,15 +39,14 @@ is c(theta) . sum_i T(x_i), the same product on feature sums cached on the
 :class:`Dataset`, plus h summed over the data in row blocks that reuse one
 scratch allocation, so the exponential families cost the same at any dataset
 size and the others need about 1 MB at any size.  On a (1000 x 131) block of
-noninformative-box rows the grid takes 1.8, 2.3, 5.5 and 2.1 ns per cell for Normal, Lognormal, Gamma and
-InverseGaussian, and 20.3, 19.0 and 10.8 ns for Logistic, Loglogistic and
-Weibull, where the same rounds read 3.2, 3.5, 6.9, 3.9, 19.8, 19.8 and 11.9
-ns with the linear form as an einsum; the likelihood's h takes 5.4, 5.4 and
-2.3 ns per cell on 1000 rows at 10^4 points (shared 2-core x86-64 host,
-OpenBLAS 0.3.31).  The linear form rounds differently from a direct
-formula, within a few ulps of its largest term sum_k |c_k T_k(x)|.  A
-cell's value depends only on its own parameter row and point, never on the
-other rows or points of the call.
+noninformative-box rows the grid takes 1.8, 2.3, 5.5 and 2.1 ns per cell for
+Normal, Lognormal, Gamma and InverseGaussian, and 20.3, 19.0 and 10.8 ns for
+Logistic, Loglogistic and Weibull; the likelihood's h takes 5.4, 5.4 and 2.3
+ns per cell on 1000 rows at 10^4 points (shared 2-core x86-64 host, OpenBLAS
+0.3.31).  The linear form rounds differently from a direct formula, within a
+few ulps of its largest term sum_k |c_k T_k(x)|.  A cell's value depends only
+on its own parameter row and point, never on the other rows or points of the
+call, so the rows a mask later sets to -inf change no other row's bits.
 
 Two layout rules serve the likelihood, the grid, the KDE prior density and
 propagation's density blocks, each from one function: ``_matmul`` is the
@@ -504,34 +504,26 @@ def log_likelihood_batch(family: ModelFamily, thetas: np.ndarray, data: Dataset)
 
     The grid's formula summed over the data: c(theta) . sum_i T(x_i) on the
     dataset's cached feature sums, whose cost stays flat in dataset size,
-    plus sum_i h(theta, t(x_i)), evaluated in row blocks.
+    plus sum_i h(theta, t(x_i)), evaluated in row blocks, on every row; then
+    a row that is invalid (some give a finite but wrong sum) or sums to nan
+    or +inf (overflow in an extreme corner of a prior box) is set to -inf.
     """
     thetas = _param_rows(thetas)
     if family in POSITIVE_SUPPORT and not data.all_positive:
         return np.full(thetas.shape[0], _NEG_INF)
-    ok = _valid_rows(family, thetas)
-    every_row = ok.all()
-    rows = thetas if every_row else thetas[ok]
-    coef = _coefficients(family, rows)
-    ll = _matmul(coef, data.feature_sums(family))[:, 0]
-    if family in _CELL_TERM_OF_LOG_X:
-        t = data.log_values if _CELL_TERM_OF_LOG_X[family] else data.values
-        # row blocks of h and its spare, in one scratch allocation reused
-        # through out=, so memory stays bounded and each pass stays in cache
-        blocks = _blocks(rows.shape[0], 2 * data.n)
-        scratch = np.empty((2, blocks[0].stop if blocks else 0, data.n))
-        for block in blocks:
-            h, spare = scratch[:, : block.stop - block.start]
-            ll[block] += _cell_term(family, rows[block], t, h, spare).sum(axis=1)
-    if every_row:
-        out = ll
-    else:
-        out = np.full(thetas.shape[0], _NEG_INF)
-        out[ok] = ll
-    # overflow in extreme corners of the prior box can yield nan; treat it
-    # (and +inf) as impossible rather than propagating
-    out[~(out < np.inf)] = _NEG_INF
-    return out
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ll = _matmul(_coefficients(family, thetas), data.feature_sums(family))[:, 0]
+        if family in _CELL_TERM_OF_LOG_X:
+            t = data.log_values if _CELL_TERM_OF_LOG_X[family] else data.values
+            # row blocks of h and its spare, in one scratch allocation reused
+            # through out=, so memory stays bounded and each pass stays in cache
+            blocks = _blocks(thetas.shape[0], 2 * data.n)
+            scratch = np.empty((2, blocks[0].stop if blocks else 0, data.n))
+            for block in blocks:
+                h, spare = scratch[:, : block.stop - block.start]
+                ll[block] += _cell_term(family, thetas[block], t, h, spare).sum(axis=1)
+    ll[~(_valid_rows(family, thetas) & (ll < np.inf))] = _NEG_INF
+    return ll
 
 
 def log_pdf_grid(family: ModelFamily, thetas: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -554,9 +546,7 @@ def log_pdf_grid(family: ModelFamily, thetas: np.ndarray, x: np.ndarray) -> np.n
         if family in _CELL_TERM_OF_LOG_X:
             # feature 0 of Loglogistic and Weibull is ln x
             out += _cell_term(family, thetas, feats[0] if _CELL_TERM_OF_LOG_X[family] else x)
-    outside = _outside(family, x) | np.isinf(feats).any(axis=0)
-    if np.any(outside):
-        out[:, outside] = _NEG_INF
+    out[:, _outside(family, x) | np.isinf(feats).any(axis=0)] = _NEG_INF
     return out
 
 

@@ -140,21 +140,15 @@ def sample_posterior(
 ) -> PosteriorChain:
     """Sample p(theta | data, family) proportional to likelihood times prior.
 
-    Walkers start from prior draws with finite posterior (up to 100 retries
-    per walker).  Raises :class:`InitializationError` if the prior and data
-    are incompatible and :class:`DegenerateChainError` if nothing is ever
-    accepted.
+    The log posterior is the prior's log density plus the log likelihood on
+    every row.  Walkers start from prior draws with finite posterior (up to
+    100 retries per walker).  Raises :class:`InitializationError` if the
+    prior and data are incompatible and :class:`DegenerateChainError` if
+    nothing is ever accepted.
     """
 
     def log_post(thetas: np.ndarray) -> np.ndarray:
-        lp = prior.log_density_batch(thetas)
-        live = lp > -np.inf
-        if live.all():
-            return lp + log_likelihood_batch(family, thetas, data)
-        out = np.full(thetas.shape[0], -np.inf)
-        if live.any():
-            out[live] = lp[live] + log_likelihood_batch(family, thetas[live], data)
-        return out
+        return prior.log_density_batch(thetas) + log_likelihood_batch(family, thetas, data)
 
     initial = np.empty((cfg.n_walkers, 2))
     filled = 0

@@ -131,6 +131,12 @@ class TestPlateConfig:
         with pytest.raises(ValueError):
             PlateConfig(t=0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, "36", None, True])
+    def test_rejects_non_finite_or_non_number_fields(self, bad):
+        # PlateConfig(b=nan) used to pass, since nan <= 0 is false
+        with pytest.raises(ValueError, match="plate b must be a finite positive number"):
+            PlateConfig(b=bad)
+
     def test_rejects_thickness_over_width(self):
         with pytest.raises(ValueError):
             PlateConfig(b=0.5, t=0.75)

@@ -13,9 +13,11 @@ import pytest
 from scipy.special import gammaln, ndtr
 
 from mmuq.distributions import (
+    _QUADRATIC_CENTRE,
     _matmul,
     _valid_rows,
     FAMILIES,
+    POSITIVE_PARAMS,
     Dataset,
     InvalidParameterError,
     ModelFamily,
@@ -258,16 +260,35 @@ class TestLogLikelihood:
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_valid_rows_unchanged_by_invalid_neighbours(self, family, rng):
-        # an all-valid call skips the gather of valid rows and the scatter
-        # of their values; each valid row must get the same bits either way
-        data = Dataset(sample(family, STUDY_THETAS[family], rng, 300))
-        valid = np.asarray(STUDY_THETAS[family]) * rng.uniform(0.9, 1.1, size=(6, 2))
-        invalid = [[np.nan, 1.0], [1.0, -1.0], [np.inf, 1.0], [1.0, np.nan]]
-        mixed = np.insert(valid, [0, 2, 2, 6], invalid, axis=0)
-        out = log_likelihood_batch(family, mixed, data)
-        live = np.isfinite(out)
-        assert np.count_nonzero(live) == 6
-        np.testing.assert_array_equal(out[live], log_likelihood_batch(family, valid, data))
+        # the formula runs on every row, invalid ones too, and one mask then
+        # sets the invalid rows to -inf: each valid row must get the bits of
+        # a call on the valid rows alone, whose blocks of the data term h
+        # (six rows each at n = 10^4) hold other rows, and every invalid row
+        # must be exactly -inf, with no numpy warning on the way
+        data = Dataset(sample(family, STUDY_THETAS[family], rng, 10_000))
+        p1, p2 = STUDY_THETAS[family]
+        valid = np.array([p1, p2]) * rng.uniform(0.9, 1.1, size=(12, 2))
+        invalid = [[p1, 0.0], [p1, -p2], [np.nan, p2], [p1, np.nan]]
+        invalid += [[v, p2] for v in (np.inf, -np.inf)] + [[p1, v] for v in (np.inf, -np.inf)]
+        if POSITIVE_PARAMS[family][0]:
+            invalid += [[0.0, p2], [-p1, p2]]
+        if family in _QUADRATIC_CENTRE:
+            # ((p1 - c0) / p2)^2 = 4e8, past the cancelling bound of 1e8:
+            # the formula gives a finite but inexact sum here
+            invalid.append([_QUADRATIC_CENTRE[family] + 2e4 * p2, p2])
+        if family is ModelFamily.INVERSE_GAUSSIAN:
+            invalid.append([p1, 2e8 * p1])  # lam / mu = 2e8, finite likewise
+        mixed = np.concatenate([valid, invalid])
+        order = rng.permutation(mixed.shape[0])
+        mixed, is_valid = mixed[order], order < valid.shape[0]
+        np.testing.assert_array_equal(_valid_rows(family, mixed), is_valid)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = log_likelihood_batch(family, mixed, data)
+            want = log_likelihood_batch(family, mixed[is_valid], data)
+        assert np.all(np.isfinite(want))
+        np.testing.assert_array_equal(out[is_valid], want)
+        assert np.all(out[~is_valid] == -np.inf)
 
     @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("n", [1, 5000])

@@ -5,9 +5,11 @@ information-criterion weight identities (BIC weights are Bayes' rule with
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import logsumexp, ndtr
 
 from conftest import generalized_bic_weights
-from mmuq.distributions import Dataset, ModelFamily
+from mmuq.config import ExperimentConfig
+from mmuq.distributions import FAMILIES, Dataset, ModelFamily
 from mmuq.evidence import (
     EvidenceUnderflowError,
     ModelPosteriorProbs,
@@ -19,7 +21,8 @@ from mmuq.evidence import (
     model_posteriors,
     savvy_priors,
 )
-from mmuq.priors import UniformBoxPrior
+from mmuq.pipeline import StudyPipeline
+from mmuq.priors import UniformBoxPrior, default_uniform_prior
 
 LN_INDEX = 4  # position of Lognormal in the canonical family order
 
@@ -114,6 +117,46 @@ class TestLogEvidenceMc:
         prior = UniformBoxPrior(lo=np.array([0.0, 0.1]), hi=np.array([5.0, 2.0]))
         with pytest.raises(EvidenceUnderflowError, match="Lognormal"):
             log_evidence_mc(ModelFamily.LOGNORMAL, data, prior, 100, np.random.default_rng(0))
+
+
+def normal_box_evidence(x, lo, hi, nodes=400_001):
+    """Log evidence of Normal(mu, sigma) on data ``x`` under the uniform box
+    [lo, hi].  mu is integrated in closed form, exp(-n (mu - xbar)^2 /
+    (2 sigma^2)) over [lo0, hi0] giving sigma sqrt(2 pi / n) times a
+    difference of normal CDFs; sigma by the trapezoid rule in ln sigma over
+    [lo1, hi1]; then divided by the box area.  It agrees with a 1201^2
+    brute-force trapezoid over the box to 1e-11 nats at n = 100 and 1000."""
+    n, xbar = x.size, x.mean()
+    ss = np.sum((x - xbar) ** 2)
+    u = np.linspace(np.log(lo[1]), np.log(hi[1]), nodes)
+    sigma = np.exp(u)
+    root_n = np.sqrt(n) / sigma
+    mass = ndtr((hi[0] - xbar) * root_n) - ndtr((lo[0] - xbar) * root_n)
+    log_f = (
+        -0.5 * n * np.log(2.0 * np.pi * sigma**2)
+        - ss / (2.0 * sigma**2)
+        + np.log(sigma * np.sqrt(2.0 * np.pi / n) * mass)
+        + u  # d sigma = sigma d(ln sigma)
+    )
+    w = np.full(nodes, u[1] - u[0])
+    w[[0, -1]] *= 0.5
+    return logsumexp(log_f, b=w) - np.log(np.prod(hi - lo))
+
+
+class TestPublishedNormalEvidence:
+    # Open defect (ROADMAP item 3): the study's prior-draw Monte Carlo
+    # evidence misses the Normal's box evidence at seed 2018 by +0.220,
+    # +0.412 and -2.427 nats at n = 100, 1000 and 10^4 (oracle -271.525,
+    # -2804.089 and -28006.604).  A deterministic evidence flips this.
+    @pytest.mark.xfail(raises=AssertionError, reason="the MC evidence is off by > 0.05 nats")
+    @pytest.mark.parametrize("n", [100, 1000, pytest.param(10**4, marks=pytest.mark.slow)])
+    def test_normal_log_evidence_within_005_nats_of_oracle(self, n):
+        pipeline = StudyPipeline(ExperimentConfig(seed=2018))
+        box = default_uniform_prior(ModelFamily.NORMAL)
+        want = normal_box_evidence(pipeline.dataset(n).values, box.lo, box.hi)
+        probs = pipeline.posterior_probs(n, "noninformative", "uniform")
+        got = probs.log_evidence[FAMILIES.index(ModelFamily.NORMAL)]
+        assert abs(got - want) <= 0.05, (got, want)
 
 
 class TestModelPosteriors:

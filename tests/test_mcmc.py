@@ -6,7 +6,7 @@ import pytest
 from conftest import reference_stretch_sampler
 from scipy.stats import chi2, norm
 
-from mmuq.distributions import Dataset, ModelFamily
+from mmuq.distributions import Dataset, ModelFamily, _valid_rows, log_likelihood_batch, sample
 from mmuq.mcmc import (
     DegenerateChainError,
     EnsembleConfig,
@@ -18,7 +18,12 @@ from mmuq.mcmc import (
     run_ensemble_sampler,
     sample_posterior,
 )
-from mmuq.priors import UniformBoxPrior
+from mmuq.priors import (
+    UniformBoxPrior,
+    build_informative_prior,
+    default_uniform_prior,
+    historical_dataset,
+)
 
 
 def walker_series(chain: PosteriorChain, cfg: EnsembleConfig, dim: int) -> np.ndarray:
@@ -233,6 +238,75 @@ class TestSamplePosterior:
         cfg = EnsembleConfig(n_walkers=8, n_steps=100, burn_in=10)
         with pytest.raises(InitializationError, match="Lognormal"):
             sample_posterior(ModelFamily.LOGNORMAL, data, prior, cfg, np.random.default_rng(1))
+
+
+def subset_sample_posterior(family, data, prior, cfg, rng, tally):
+    """``sample_posterior`` with its earlier log posterior, kept as a
+    reference: the likelihood only on the rows the prior keeps, scattered
+    back into a -inf array.  ``tally`` counts the rows the prior rules out
+    ("prior") and the rows it keeps that the family rules out ("family")."""
+
+    def log_post(thetas):
+        lp = prior.log_density_batch(thetas)
+        live = lp > -np.inf
+        tally["prior"] += int(np.count_nonzero(~live))
+        tally["family"] += int(np.count_nonzero(live & ~_valid_rows(family, thetas)))
+        if live.all():
+            return lp + log_likelihood_batch(family, thetas, data)
+        out = np.full(thetas.shape[0], -np.inf)
+        if live.any():
+            out[live] = lp[live] + log_likelihood_batch(family, thetas[live], data)
+        return out
+
+    initial = np.empty((cfg.n_walkers, 2))
+    filled = 0
+    while filled < cfg.n_walkers:
+        draw = prior.sample(rng, cfg.n_walkers - filled)
+        good = draw[np.isfinite(log_post(draw))]
+        take = min(good.shape[0], cfg.n_walkers - filled)
+        initial[filled : filled + take] = good[:take]
+        filled += take
+    chain, rate = run_ensemble_sampler(log_post, initial, cfg, rng)
+    return chain[cfg.burn_in :].reshape(-1, 2), rate
+
+
+class TestOnePathLogPosterior:
+    """The log posterior adds the prior's log density and the likelihood on
+    every row; the reference computed the likelihood only where the prior
+    is finite.  Both must give the same chain to the bit."""
+
+    def assert_matches_subset_reference(self, family, data, prior, cfg, seed):
+        tally = {"prior": 0, "family": 0}
+        want, want_rate = subset_sample_posterior(
+            family, data, prior, cfg, np.random.default_rng(seed), tally
+        )
+        chain = sample_posterior(family, data, prior, cfg, np.random.default_rng(seed))
+        np.testing.assert_array_equal(chain.samples, want)
+        assert chain.acceptance_rate == want_rate
+        return tally
+
+    def test_gamma_under_the_noninformative_box(self, rng):
+        # the unmixed Gamma chain proposes many rows outside its box
+        family = ModelFamily.GAMMA
+        data = Dataset(sample(family, (74.3, 0.468), rng, 25))
+        cfg = EnsembleConfig(n_walkers=32, n_steps=300, burn_in=100)
+        tally = self.assert_matches_subset_reference(
+            family, data, default_uniform_prior(family), cfg, seed=5
+        )
+        assert tally["prior"] > 100
+
+    def test_kde_prior_with_rows_the_family_rules_out(self):
+        # a KDE prior is finite everywhere; the ABS-B Gamma prior has kernels
+        # at scales near 0.01, so its Gaussian tails put rows at a scale <= 0
+        # that only the likelihood rules out, under either log posterior
+        family = ModelFamily.GAMMA
+        cfg = EnsembleConfig(n_walkers=32, n_steps=300, burn_in=100)
+        prior = build_informative_prior(
+            family, historical_dataset("ABS-B"), cfg, np.random.default_rng(0), 500
+        )
+        data = Dataset(sample(family, (74.3, 0.468), np.random.default_rng(1), 25))
+        tally = self.assert_matches_subset_reference(family, data, prior, cfg, seed=6)
+        assert tally["family"] > 0
 
 
 class TestConfigValidation:

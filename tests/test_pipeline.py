@@ -15,6 +15,7 @@ from scipy.stats import spearmanr
 
 from conftest import generalized_bic_weights
 from mmuq import pipeline as pipeline_module
+from mmuq.buckling import PlateConfig
 from mmuq.cli import main
 from mmuq.config import MODEL_PRIOR_NAMES, ExperimentConfig, load_config, model_prior_probs
 from mmuq.distributions import FAMILIES, ModelFamily
@@ -630,6 +631,23 @@ class TestCli:
             main(["quantify", "--config", str(config)])
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "bad, match",
+        [
+            ({"failure_threshold": float("nan")}, "failure_threshold must be a finite number"),
+            ({"plate": {"b": float("nan")}}, "plate b must be a finite positive number"),
+        ],
+        ids=["failure_threshold", "plate"],
+    )
+    def test_rejected_threshold_or_plate_writes_nothing(self, bad, match, tmp_path):
+        # a NaN threshold used to exit 0 from propagate with every pf 0
+        config = self.write_config(tmp_path)
+        config.write_text(json.dumps({**json.loads(config.read_text()), **bad}))
+        for stage in ("quantify", "propagate"):
+            with pytest.raises(ValueError, match=match):
+                main([stage, "--config", str(config)])
+        assert not (tmp_path / "out").exists()
+
     def test_partial_failure_exit_code(self, tmp_path, monkeypatch):
         config = self.write_config(tmp_path)
 
@@ -710,6 +728,56 @@ class TestConfig:
         path.write_text(json.dumps(bad))
         with pytest.raises(ValueError, match=f"{axis} must be a list"):
             load_config(path)
+
+    @pytest.mark.parametrize(
+        "bad, match",
+        [
+            ({"failure_threshold": float("nan")}, "failure_threshold must be a finite number"),
+            ({"failure_threshold": float("inf")}, "failure_threshold must be a finite number"),
+            ({"failure_threshold": "0.6"}, "failure_threshold must be a finite number"),
+            ({"failure_threshold": None}, "failure_threshold must be a finite number"),
+            ({"failure_threshold": True}, "failure_threshold must be a finite number"),
+            ({"plate": [1, 2]}, "plate must be a PlateConfig"),
+            ({"plate": 5}, "plate must be a PlateConfig"),
+            ({"plate": None}, "plate must be a PlateConfig"),
+        ],
+        ids=["threshold-nan", "threshold-inf", "threshold-string", "threshold-null",
+             "threshold-bool", "plate-list", "plate-number", "plate-null"],
+    )
+    def test_bad_threshold_or_plate_rejected(self, bad, match, tmp_path):
+        # a NaN threshold used to run with every pf 0, a string or null one
+        # to fail every propagate cell; a list or number plate raised a
+        # TypeError that did not name it, and a null plate took the default
+        with pytest.raises(ValueError, match=match):
+            ExperimentConfig(**bad)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(bad))
+        with pytest.raises(ValueError, match=match):
+            load_config(path)
+
+    @pytest.mark.parametrize(
+        "plate, match",
+        [
+            ({"b": float("nan")}, "plate b must be a finite positive number"),
+            ({"E": float("inf")}, "plate E must be a finite positive number"),
+            ({"t": "0.75"}, "plate t must be a finite positive number"),
+            ({"eta": None}, "plate eta must be a finite positive number"),
+            ({"thickness": 0.75}, "plate: .*thickness"),
+        ],
+        ids=["nan", "inf", "string", "null", "unknown-field"],
+    )
+    def test_bad_plate_field_rejected(self, plate, match, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"plate": plate}))
+        with pytest.raises(ValueError, match=match):
+            load_config(path)
+
+    def test_plate_object_loads(self, tmp_path):
+        plate = PlateConfig(b=30.0, t=0.5)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"plate": {"b": 30.0, "t": 0.5}, "failure_threshold": 1}))
+        cfg = load_config(path)
+        assert cfg.plate == plate and cfg.failure_threshold == 1
 
     def test_default_config_hash_unchanged(self):
         assert ExperimentConfig().config_hash().startswith("da06ba2b")
