@@ -4,7 +4,8 @@ Subcommands: ``quantify`` (model probabilities, chain summaries, density
 metrics), ``propagate`` (response statistics and output metrics) and
 ``gen-data`` (write the synthetic and historical datasets).  Flags override
 config-file values.  Exit code 0 means every grid cell succeeded; 2 means
-some cells failed (see the log and the run manifest).
+some cells failed (see the log and the run manifest) or the config was
+rejected, with one ``mmuq: <reason>`` line on stderr and nothing written.
 """
 
 from __future__ import annotations
@@ -61,7 +62,12 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
-    pipeline = StudyPipeline(_config_from_args(args))
+    try:
+        cfg = _config_from_args(args)
+    except ValueError as err:  # a rejected config: nothing has been written
+        print(f"mmuq: {err}", file=sys.stderr)
+        return 2
+    pipeline = StudyPipeline(cfg)
     if args.command == "gen-data":
         for path in pipeline.gen_data():
             print(path)

@@ -53,6 +53,13 @@ propagation's density blocks, each from one function: ``_matmul`` is the
 only code that pads an operand, so that np.matmul cannot switch BLAS routine
 on a one-row or one-column shape, and ``_blocks`` is the only code that
 sizes blocks from ``_BLOCK_CELLS``.
+
+``params_from_moments`` inverts the Weibull and Loglogistic moment relations
+(behind the noninformative boxes and the MLE starts) with ``_brentq``, a
+step-for-step port of scipy's C ``brentq`` that returns the same bits.  With
+it and ``evidence._nelder_mead``, mmuq never imports ``scipy.optimize``,
+which loads scipy.linalg, sparse and the other solvers and cost every process
+about 23 MB of resident memory; only ``scipy.special`` is imported.
 """
 
 from __future__ import annotations
@@ -63,7 +70,6 @@ from functools import cached_property
 
 import numpy as np
 from scipy import special
-from scipy.optimize import brentq
 
 __all__ = [
     "ModelFamily",
@@ -587,13 +593,69 @@ def moments(family: ModelFamily, theta) -> tuple[float, float]:
     raise KeyError(family)  # pragma: no cover
 
 
+def _brentq(f, a: float, b: float, xtol: float, rtol: float) -> float:
+    """Root of ``f`` in the bracket [a, b] by Brent's method (Brent 1973,
+    *Algorithms for Minimization without Derivatives*, ch. 4).
+
+    A step-for-step port of scipy's C ``brentq``, so it returns the same
+    bits.  The bracket [cur, blk] always holds a sign change; ``pre`` is the
+    previous iterate.  A secant or inverse-quadratic step is taken when it
+    is short enough, else a bisection; the loop stops when half the bracket
+    is below delta = (xtol + rtol |cur|) / 2, and raises after 100
+    iterations.
+    """
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = float(f(xpre)), float(f(xcur))
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    maxiter = 100
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = float(f(xcur))
+    raise RuntimeError(f"brentq failed to converge after {maxiter} iterations, value is {xcur}")
+
+
 def _weibull_shape_from_cov(cov: float) -> float:
     target = 1.0 + cov**2
 
     def f(k):
         return np.exp(special.gammaln(1 + 2.0 / k) - 2 * special.gammaln(1 + 1.0 / k)) - target
 
-    return brentq(f, 0.05, 1e4, xtol=1e-12, rtol=1e-14)
+    return _brentq(f, 0.05, 1e4, xtol=1e-12, rtol=1e-14)
 
 
 def _loglogistic_scale_from_cov(cov: float) -> float:
@@ -603,7 +665,7 @@ def _loglogistic_scale_from_cov(cov: float) -> float:
         y = np.pi * s
         return np.tan(y) / y - target
 
-    return brentq(f, 1e-9, 0.5 - 1e-9, xtol=1e-15, rtol=1e-14)
+    return _brentq(f, 1e-9, 0.5 - 1e-9, xtol=1e-15, rtol=1e-14)
 
 
 def params_from_moments(family: ModelFamily, mean: float, cov: float) -> np.ndarray:

@@ -6,6 +6,11 @@ with log-sum-exp.  Posterior model probabilities combine log evidences with
 prior model probabilities through Bayes' rule (``model_posteriors``).  With
 -BIC/2 as each model's log evidence and "savvy" model priors, the same rule
 gives exactly the AIC weights.
+
+The maximized likelihood behind the BIC (``max_log_likelihood``) is found by
+``_nelder_mead``, a port of the path of scipy's Nelder-Mead that it runs,
+with the same steps, evaluations and bits.  It spares every mmuq process the
+``scipy.optimize`` import (see ``distributions``).
 """
 
 from __future__ import annotations
@@ -13,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.special import logsumexp
 
 from .distributions import (
@@ -134,6 +138,74 @@ def _moment_start(family: ModelFamily, data: Dataset) -> np.ndarray:
     return params_from_moments(family, mean, sd / mean)
 
 
+def _sorted(sim: np.ndarray, fsim: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    ind = np.argsort(fsim)
+    return np.take(sim, ind, 0), np.take(fsim, ind, 0)
+
+
+def _nelder_mead(func, x0: np.ndarray, maxiter: int, xatol: float, fatol: float):
+    """Minimize ``func`` from ``x0`` by the Nelder-Mead simplex method
+    (Nelder & Mead 1965, Comput. J. 7:308); returns (x, f(x), iterations).
+
+    A port of the path of scipy's ``_minimize_neldermead`` that mmuq runs,
+    so it takes the same steps and returns the same bits: the 5% (0.00025
+    at a zero coordinate) initial simplex, reflection, expansion,
+    contraction and shrink coefficients 1, 2, 1/2 and 1/2, the same
+    ordering and the same stopping test, with no evaluation limit.  At
+    ``maxiter`` it returns the best vertex, as scipy does.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    n = x0.size
+    sim = np.empty((n + 1, n))
+    sim[0] = x0
+    for k in range(n):
+        y = x0.copy()
+        y[k] = 1.05 * y[k] if y[k] != 0 else 0.00025
+        sim[k + 1] = y
+    fsim = np.array([func(v) for v in sim])
+    # scipy sorts the first simplex twice; argsort is not stable, so a
+    # second pass can reorder ties
+    sim, fsim = _sorted(*_sorted(sim, fsim))
+    iterations = 1
+    while iterations < maxiter:
+        if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = 2 * xbar - sim[-1]
+        fxr = func(xr)
+        if fxr < fsim[0]:
+            xe = 3 * xbar - 2 * sim[-1]
+            fxe = func(xe)
+            if fxe < fxr:
+                sim[-1], fsim[-1] = xe, fxe
+            else:
+                sim[-1], fsim[-1] = xr, fxr
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:
+                # outside contraction
+                xk = 1.5 * xbar - 0.5 * sim[-1]
+                fxk = func(xk)
+                accept = fxk <= fxr
+            else:
+                # inside contraction
+                xk = 0.5 * xbar + 0.5 * sim[-1]
+                fxk = func(xk)
+                accept = fxk < fsim[-1]
+            if accept:
+                sim[-1], fsim[-1] = xk, fxk
+            else:
+                # shrink towards the best vertex
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    fsim[j] = func(sim[j])
+        iterations += 1
+        sim, fsim = _sorted(sim, fsim)
+    return sim[0], np.min(fsim), iterations
+
+
 def max_log_likelihood(family: ModelFamily, data: Dataset) -> tuple[np.ndarray, float]:
     """MLE parameters and maximized log likelihood via Nelder-Mead from a
     moment-matched start (positive parameters searched in log space)."""
@@ -145,16 +217,11 @@ def max_log_likelihood(family: ModelFamily, data: Dataset) -> tuple[np.ndarray, 
         theta = np.where(pos, np.exp(x), x)
         return -log_likelihood(family, theta, data)
 
-    res = minimize(
-        negll,
-        x0,
-        method="Nelder-Mead",
-        options={"maxiter": 500, "xatol": 1e-10, "fatol": 1e-10},
-    )
-    if not np.isfinite(res.fun):
+    x, fun, _ = _nelder_mead(negll, x0, maxiter=500, xatol=1e-10, fatol=1e-10)
+    if not np.isfinite(fun):
         raise MleError(f"MLE failed for {family} on {data.label!r}: non-finite optimum")
-    theta_hat = np.where(pos, np.exp(res.x), res.x)
-    return theta_hat, float(-res.fun)
+    theta_hat = np.where(pos, np.exp(x), x)
+    return theta_hat, float(-fun)
 
 
 def information_criteria(family: ModelFamily, data: Dataset) -> tuple[float, float]:

@@ -10,10 +10,13 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 from scipy.special import gammaln, ndtr
 
+from mmuq import distributions
 from mmuq.distributions import (
     _QUADRATIC_CENTRE,
+    _brentq,
     _matmul,
     _valid_rows,
     FAMILIES,
@@ -719,6 +722,44 @@ class TestMomentMaps:
         draws = sample(family, theta, rng, 10**6)
         assert draws.mean() == pytest.approx(mean, abs=6.0 * sd / 1000.0)
         assert draws.std() == pytest.approx(sd, rel=0.02)
+
+
+class TestBrentqPort:
+    """``_brentq`` is a port of scipy's ``brentq``: same steps, same bits."""
+
+    @pytest.mark.parametrize(
+        "invert",
+        [distributions._weibull_shape_from_cov, distributions._loglogistic_scale_from_cov],
+        ids=["weibull", "loglogistic"],
+    )
+    def test_moment_inversions_match_scipy_bit_for_bit(self, invert, monkeypatch):
+        covs = np.linspace(0.005, 0.6, 2000)
+        ours = [invert(c) for c in covs]
+        monkeypatch.setattr(distributions, "_brentq", brentq)
+        theirs = [invert(c) for c in covs]
+        assert_same_bits(np.array(ours), np.array(theirs))
+
+    def test_root_at_an_endpoint_is_returned(self):
+        f = lambda x: x - 2.0  # noqa: E731
+        for a, b in ((2.0, 5.0), (-1.0, 2.0)):
+            got = _brentq(f, a, b, xtol=1e-12, rtol=1e-14)
+            assert got == 2.0 == brentq(f, a, b, xtol=1e-12, rtol=1e-14)
+
+    def test_same_sign_bracket_raises(self):
+        f = lambda x: x * x + 1.0  # noqa: E731
+        with pytest.raises(ValueError, match="different signs"):
+            _brentq(f, -1.0, 1.0, xtol=1e-12, rtol=1e-14)
+        with pytest.raises(ValueError):
+            brentq(f, -1.0, 1.0, xtol=1e-12, rtol=1e-14)
+
+    def test_no_convergence_in_100_iterations_raises(self):
+        # a step has no secant shortcut: bisecting 2e300 down to 1e-12
+        # takes about 1000 halvings
+        step = lambda x: -1.0 if x < 0.3 else 1.0  # noqa: E731
+        with pytest.raises(RuntimeError, match="100 iterations"):
+            _brentq(step, -1e300, 1e300, xtol=1e-12, rtol=1e-14)
+        with pytest.raises(RuntimeError):
+            brentq(step, -1e300, 1e300, xtol=1e-12, rtol=1e-14)
 
 
 class TestDataset:

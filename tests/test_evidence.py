@@ -5,12 +5,15 @@ information-criterion weight identities (BIC weights are Bayes' rule with
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import minimize, rosen
 from scipy.special import logsumexp, ndtr
 
 from conftest import generalized_bic_weights
 from mmuq.config import ExperimentConfig
-from mmuq.distributions import FAMILIES, Dataset, ModelFamily
+from mmuq import evidence
+from mmuq.distributions import FAMILIES, Dataset, ModelFamily, params_from_moments, sample
 from mmuq.evidence import (
+    _nelder_mead,
     EvidenceUnderflowError,
     ModelPosteriorProbs,
     ModelPriorProbs,
@@ -243,6 +246,58 @@ class TestInformationCriteria:
         start = params_from_moments(family, mean, sd / mean)
         assert ll_hat >= log_likelihood(family, start, data) - 1e-9
         assert ll_hat == pytest.approx(log_likelihood(family, theta_hat, data), rel=1e-12)
+
+
+def counted(func):
+    """``func`` and a list that grows by one entry per call."""
+    calls = []
+
+    def wrapped(x):
+        calls.append(None)
+        return func(x)
+
+    return wrapped, calls
+
+
+def assert_port_matches_scipy(func, x0, **options):
+    """``_nelder_mead`` gives scipy's Nelder-Mead x, f(x), iteration and
+    evaluation counts, bit for bit."""
+    ours, our_calls = counted(func)
+    x, fun, nit = _nelder_mead(ours, x0, **options)
+    theirs, their_calls = counted(func)
+    res = minimize(theirs, x0, method="Nelder-Mead", options=options)
+    np.testing.assert_array_equal(x.view(np.uint64), res.x.view(np.uint64))
+    assert np.float64(fun).view(np.uint64) == np.float64(res.fun).view(np.uint64)
+    assert (nit, len(our_calls)) == (res.nit, len(their_calls)) == (res.nit, res.nfev)
+    return nit
+
+
+class TestNelderMeadPort:
+    """``_nelder_mead`` is a port of scipy's Nelder-Mead: same steps, same bits."""
+
+    @pytest.mark.parametrize("seed", [2018, 7])
+    @pytest.mark.parametrize("n", [10, 25, 1000, 10_000])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_mle_search_matches_scipy(self, family, n, seed, monkeypatch):
+        # the objective, start and options max_log_likelihood passes on
+        truth = params_from_moments(ModelFamily.LOGNORMAL, 34.782, 0.116)
+        data = Dataset(sample(ModelFamily.LOGNORMAL, truth, np.random.default_rng(seed), n))
+        seen = []
+
+        def spy(func, x0, **options):
+            seen.append((func, x0, options))
+            return _nelder_mead(func, x0, **options)
+
+        monkeypatch.setattr(evidence, "_nelder_mead", spy)
+        max_log_likelihood(family, data)
+        [(func, x0, options)] = seen
+        assert assert_port_matches_scipy(func, x0, **options) < options["maxiter"]
+
+    def test_stops_at_maxiter_like_scipy(self):
+        nit = assert_port_matches_scipy(
+            rosen, np.array([-1.2, 1.0]), maxiter=20, xatol=1e-10, fatol=1e-10
+        )
+        assert nit == 20
 
 
 class TestWeights:

@@ -5,6 +5,8 @@ import hashlib
 import json
 import logging
 import os
+import subprocess
+import sys
 import time
 from collections import Counter
 from pathlib import Path
@@ -624,11 +626,31 @@ class TestCli:
         assert main(["quantify", "--config", str(config), "--out", str(out2), "--seed", "77"]) == 0
         assert (out2 / "cli" / "10" / "noninformative" / "uniform" / "model_probs.csv").exists()
 
-    def test_rejected_config_writes_nothing(self, tmp_path):
+    def assert_rejected(self, capsys, argv, match):
+        """``main`` exits 2 with one ``mmuq: ...`` line naming the fault."""
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("mmuq: ") and err.count("\n") == 1
+        assert match in err
+
+    def test_rejected_config_writes_nothing(self, tmp_path, capsys):
         config = self.write_config(tmp_path)
         config.write_text(json.dumps({**json.loads(config.read_text()), "n_d": 100.5}))
-        with pytest.raises(ValueError, match="n_d must be an integer"):
-            main(["quantify", "--config", str(config)])
+        self.assert_rejected(capsys, ["quantify", "--config", str(config)], "n_d must be an integer")
+        assert not (tmp_path / "out").exists()
+
+    def test_rejected_config_exits_2_without_traceback(self, tmp_path):
+        # the installed script's path: sys.exit(main()) in a fresh process
+        config = self.write_config(tmp_path)
+        config.write_text(json.dumps({**json.loads(config.read_text()), "n_d": 100.5}))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        run = subprocess.run(
+            [sys.executable, "-m", "mmuq.cli", "quantify", "--config", str(config)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert run.returncode == 2
+        assert "Traceback" not in run.stderr
+        assert run.stderr.startswith("mmuq: ") and "n_d must be an integer" in run.stderr
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
@@ -639,14 +661,52 @@ class TestCli:
         ],
         ids=["failure_threshold", "plate"],
     )
-    def test_rejected_threshold_or_plate_writes_nothing(self, bad, match, tmp_path):
+    def test_rejected_threshold_or_plate_writes_nothing(self, bad, match, tmp_path, capsys):
         # a NaN threshold used to exit 0 from propagate with every pf 0
         config = self.write_config(tmp_path)
         config.write_text(json.dumps({**json.loads(config.read_text()), **bad}))
         for stage in ("quantify", "propagate"):
-            with pytest.raises(ValueError, match=match):
-                main([stage, "--config", str(config)])
+            self.assert_rejected(capsys, [stage, "--config", str(config)], match)
         assert not (tmp_path / "out").exists()
+
+    def test_study_never_imports_scipy_optimize(self, tmp_path):
+        # the box priors invert moment relations with distributions._brentq
+        # and savvy cells maximize likelihoods with evidence._nelder_mead;
+        # neither may pull in scipy.optimize (about 23 MB of resident memory)
+        cfg = {
+            "name": "lean", "dataset_sizes": [100],
+            "parameter_priors": ["noninformative", "ABS-B"], "model_priors": ["uniform", "savvy"],
+            "chain_steps": 200, "chain_burn_in": 50, "pre_prior_steps": 300,
+            "pre_prior_burn_in": 100, "kde_max_components": 2000,
+            "n_k": 500, "n_d": 100, "n_propagation": 2000,
+        }
+        config = tmp_path / "lean.json"
+        config.write_text(json.dumps(cfg))
+        script = """
+import json, sys
+from mmuq import distributions, evidence
+from mmuq.cli import main
+
+reached = set()
+for module, name in ((distributions, "_brentq"), (evidence, "_nelder_mead")):
+    def spy(*args, _real=getattr(module, name), _name=name, **kwargs):
+        reached.add(_name)
+        return _real(*args, **kwargs)
+    setattr(module, name, spy)
+codes = [main([stage, "--config", sys.argv[1], "--out", sys.argv[2]])
+         for stage in ("quantify", "propagate")]
+print(json.dumps([codes, sorted(reached), "scipy.optimize" in sys.modules]))
+"""
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        run = subprocess.run(
+            [sys.executable, "-c", script, str(config), str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert run.returncode == 0, run.stderr
+        codes, reached, imported = json.loads(run.stdout.splitlines()[-1])
+        assert codes == [0, 0]
+        assert reached == ["_brentq", "_nelder_mead"]
+        assert not imported
 
     def test_partial_failure_exit_code(self, tmp_path, monkeypatch):
         config = self.write_config(tmp_path)
