@@ -4,8 +4,9 @@ Subcommands: ``quantify`` (model probabilities, chain summaries, density
 metrics), ``propagate`` (response statistics and output metrics) and
 ``gen-data`` (write the synthetic and historical datasets).  Flags override
 config-file values.  Exit code 0 means every grid cell succeeded; 2 means
-some cells failed (see the log and the run manifest) or the config was
-rejected, with one ``mmuq: <reason>`` line on stderr and nothing written.
+some cells failed (see the log and the run manifest) or the config file
+could not be read or was rejected, with one ``mmuq: <reason>`` line on
+stderr and nothing written.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     try:
         cfg = _config_from_args(args)
-    except ValueError as err:  # a rejected config: nothing has been written
+    except (ValueError, OSError) as err:  # nothing has been written
         print(f"mmuq: {err}", file=sys.stderr)
         return 2
     pipeline = StudyPipeline(cfg)

@@ -9,8 +9,9 @@ gives exactly the AIC weights.
 
 The maximized likelihood behind the BIC (``max_log_likelihood``) is found by
 ``_nelder_mead``, a port of the path of scipy's Nelder-Mead that it runs,
-with the same steps, evaluations and bits.  It spares every mmuq process the
-``scipy.optimize`` import (see ``distributions``).
+with the same steps, evaluations and bits, and the evidence's log-sum-exp is
+:func:`mmuq.special.logsumexp`, scipy's formula: mmuq imports no scipy (see
+``distributions``).
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .distributions import (
     Dataset,
@@ -29,6 +29,7 @@ from .distributions import (
     log_likelihood_batch,
     params_from_moments,
 )
+from .special import logsumexp
 
 __all__ = [
     "ModelPriorProbs",

@@ -100,7 +100,9 @@ def draw_ensemble(
         raise ValueError("probs must cover the full candidate set")
 
     codes = rng.choice(len(FAMILIES), size=n_d, p=pi_hat)
-    drawn = {j: chain_of(FAMILIES[j]).samples for j in np.unique(codes)}
+    # the drawn families in ascending order; np.unique would import numpy.ma
+    present = np.flatnonzero(np.bincount(codes, minlength=len(FAMILIES)))
+    drawn = {j: chain_of(FAMILIES[j]).samples for j in present}
     u = rng.random(n_d)
     thetas = np.empty((n_d, 2))
     for j, samples in drawn.items():

@@ -5,15 +5,17 @@ closed-form implementations they check.
 """
 
 import itertools
+import math
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+import scipy.special
 from scipy.optimize import brentq
 from scipy.special import gammaln, ndtr
 
-from mmuq import distributions
+from mmuq import distributions, special
 from mmuq.distributions import (
     _QUADRATIC_CENTRE,
     _brentq,
@@ -36,7 +38,7 @@ from mmuq.distributions import (
     sample_one_per,
 )
 from mmuq.metrics import default_sigma0_grid
-from mmuq.priors import ENVELOPE_MEAN, default_uniform_prior
+from mmuq.priors import ENVELOPE_COV, ENVELOPE_MEAN, default_uniform_prior
 
 from conftest import GENERIC_THETAS, STUDY_THETAS
 
@@ -760,6 +762,189 @@ class TestBrentqPort:
             _brentq(step, -1e300, 1e300, xtol=1e-12, rtol=1e-14)
         with pytest.raises(RuntimeError):
             brentq(step, -1e300, 1e300, xtol=1e-12, rtol=1e-14)
+
+
+EPS = np.finfo(float).eps
+
+
+def around(*edges, steps=40):
+    """Each edge and the ``steps`` doubles on either side of it."""
+    return np.concatenate(
+        [e + np.spacing(float(e)) * np.arange(-steps, steps + 1) for e in edges]
+    )
+
+
+def scalar_results(func, xs):
+    return np.array([func(float(x)) for x in xs])
+
+
+def assert_within_libm_rounding(got, want, bound):
+    """An array port's result: scipy's bits except where numpy's log or exp
+    rounds differently from libm's (with numpy's AVX-512 kernels, about 1 in
+    10^4 logs and 1 in 20 exps), and then within ``bound``."""
+    np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+    keep = ~np.isnan(want)
+    got, want = got[keep], want[keep]
+    np.testing.assert_array_equal(np.isinf(got), np.isinf(want))
+    finite = np.isfinite(want)
+    assert np.all(got[~finite] == want[~finite])
+    err = np.abs(got[finite] - want[finite])
+    assert np.all(err <= bound(want[finite])), np.max(err / bound(want[finite]))
+
+
+def scipy_cdf(family, theta, x):
+    """The CDF formulas of ``distributions.cdf`` on ``scipy.special``."""
+    p1, p2 = theta
+    sp = scipy.special
+    if family is ModelFamily.NORMAL:
+        return sp.ndtr((x - p1) / p2)
+    if family is ModelFamily.LOGNORMAL:
+        return sp.ndtr((np.log(x) - p1) / p2)
+    if family is ModelFamily.GAMMA:
+        return sp.gammainc(p1, x / p2)
+    if family is ModelFamily.INVERSE_GAUSSIAN:
+        rt = np.sqrt(p2 / x)
+        t2 = np.exp(2.0 * p2 / p1 + sp.log_ndtr(-rt * (x / p1 + 1.0)))
+        return np.clip(sp.ndtr(rt * (x / p1 - 1.0)) + t2, 0.0, 1.0)
+    if family is ModelFamily.LOGISTIC:
+        return sp.expit((x - p1) / p2)
+    if family is ModelFamily.LOGLOGISTIC:
+        return sp.expit((np.log(x) - p1) / p2)
+    return -np.expm1(-((x / p2) ** p1))
+
+
+class TestSpecialPorts:
+    """``mmuq.special`` against ``scipy.special``, the oracle: the Cephes
+    ports return scipy's bits on scalars and differ on arrays only through
+    numpy's log and exp; gammainc and log_ndtr hold a stated accuracy."""
+
+    # every branch edge of lgam (2, 3, 13, 1000, 1e8) and its (0, 2) corners
+    GAMMALN_POINTS = np.concatenate(
+        [
+            np.geomspace(1e-3, 1e10, 20_000),
+            np.random.default_rng(3).uniform(0.0, 13.0, 20_000),
+            np.random.default_rng(4).uniform(8.16, 1e4, 20_000),
+            around(1.0, 2.0, 3.0, 12.0, 13.0, 1000.0, 1e8),
+            [2.6e305],
+        ]
+    )
+    # where x + 1 or x + 2 rounds to 2 and lgam returns log z alone
+    ROUNDING_TO_TWO = np.array([2.0**-52, 2.0**-53, 1e-300, 5e-324, 1.0 - 2.0**-53, 1.0 + 2.0**-52])
+
+    def test_gammaln_scalar_bit_for_bit(self):
+        xs = np.concatenate([self.GAMMALN_POINTS, self.ROUNDING_TO_TWO])
+        assert_same_bits(scalar_results(special.gammaln, xs), gammaln(xs))
+
+    def test_gammaln_array_rounding_to_two(self):
+        # log z alone, z = 1 / x / (x + 1) below 1 else 1 / x, by numpy's log
+        xs = self.ROUNDING_TO_TWO
+        with np.errstate(over="ignore"):
+            z = 1.0 / xs / np.where(xs < 0.5, 1.0 + xs, 1.0)
+        assert_same_bits(special.gammaln(xs), np.log(z))
+
+    def test_gammaln_array_within_libm_rounding(self):
+        xs = self.GAMMALN_POINTS
+        got = special.gammaln(xs)
+        # measured: 15 of 60,000 differ, by at most 1.6 eps max(1, |v|)
+        assert_within_libm_rounding(got, gammaln(xs), lambda v: 2 * EPS * np.maximum(1.0, np.abs(v)))
+        assert np.count_nonzero(got != gammaln(xs)) <= xs.size // 1000
+        # a 2-D array, and rows of every branch in one call
+        grid = xs[:60_000].reshape(200, 300)
+        np.testing.assert_array_equal(special.gammaln(grid), got[:60_000].reshape(200, 300))
+
+    def test_gammaln_documented_values(self):
+        xs = np.array([-1e4, 0.0, np.nan, 1e-300, 12.999, 13.0, 999.99, 1e8 + 1, -np.inf, np.inf, 1e306])
+        want = gammaln(xs)
+        want[8] = np.inf  # scipy: -inf at -inf
+        for got in (special.gammaln(xs), scalar_results(special.gammaln, xs)):
+            assert_same_bits(got, want)
+        assert np.isinf(want[:2]).all() and np.isnan(want[2])
+        # non-positive non-integers give +inf, where scipy has log |Gamma(x)|
+        assert special.gammaln(-0.5) == np.inf
+        assert special.gammaln(np.array([-0.5, 3.5]))[0] == np.inf
+        assert special.gammaln(np.array([])).shape == (0,)
+
+    def test_gamma_scalar_bit_for_bit(self):
+        box = default_uniform_prior(ModelFamily.WEIBULL)
+        k = np.linspace(box.lo[0], box.hi[0], 5000)  # the Weibull shapes
+        xs = np.concatenate(
+            [np.geomspace(1e-3, 170.0, 20_000), 1.0 + 1.0 / k, 1.0 + 2.0 / k, around(2.0, 3.0, 33.0, 143.01608), [1e-10]]
+        )
+        assert_same_bits(scalar_results(special.gamma, xs), scipy.special.gamma(xs))
+        assert special.gamma(172.0) == np.inf
+        with pytest.raises(ValueError):
+            special.gamma(0.0)
+
+    # erfc's branches at |x| / sqrt 2 = 1 and 8, its underflow near 37.7
+    NDTR_POINTS = np.concatenate(
+        [
+            np.linspace(-40.0, 40.0, 20_001),
+            around(*[s * e for s in (-1, 1) for e in (1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0), 37.6)], steps=20),
+            [0.0, -0.0, np.inf, -np.inf, np.nan],
+        ]
+    )
+
+    def test_ndtr_bit_for_bit_on_scalars(self):
+        xs = self.NDTR_POINTS
+        assert_same_bits(scalar_results(special.ndtr, xs), ndtr(xs))
+
+    def test_ndtr_array_within_libm_rounding(self):
+        # measured: at most 2 eps relative
+        xs = self.NDTR_POINTS
+        assert_within_libm_rounding(special.ndtr(xs), ndtr(xs), lambda v: 4 * EPS * np.abs(v))
+
+    def test_expit(self):
+        xs = np.concatenate([np.random.default_rng(5).normal(0.0, 20.0, 30_000), [0.0, 800.0, -800.0, np.nan]])
+        assert_same_bits(scalar_results(special.expit, xs), scipy.special.expit(xs))
+        # measured: at most 1 eps relative
+        assert_within_libm_rounding(special.expit(xs), scipy.special.expit(xs), lambda v: 2 * EPS * v)
+
+    def test_log_ndtr_to_1e14_relative(self):
+        xs = np.concatenate([np.linspace(-1000.0, 40.0, 50_001), around(-37.0, 0.0, steps=5)])
+        want = scipy.special.log_ndtr(xs)
+        got = special.log_ndtr(xs)
+        # measured: 6.7e-16
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+        assert special.log_ndtr(-np.inf) == -np.inf and special.log_ndtr(np.inf) == 0.0
+
+    def test_gammainc_accuracy(self):
+        a = np.array([0.5, 1.0, 2.5, 8.16, 13.0, 100.0, 1000.0, 1e4])[:, None]
+        x = np.geomspace(1e-3, 2e4, 2000)[None, :]
+        got, want = special.gammainc(a, x), scipy.special.gammainc(a, x)
+        # measured: 4.4e-15 absolute, 1.2e-12 relative on 1 - P
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
+        upper = want < 1.0
+        np.testing.assert_allclose(1.0 - got[upper], 1.0 - want[upper], rtol=1e-10)
+        assert_same_bits(
+            special.gammainc(2.0, np.array([0.0, np.inf, -1.0, np.nan])),
+            np.array([0.0, 1.0, np.nan, np.nan]),
+        )
+        assert np.isnan(special.gammainc(-1.0, 1.0))
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_cdf_matches_the_scipy_formula_over_the_box(self, family):
+        box = default_uniform_prior(family)
+        rows = [np.array(c) for c in itertools.product(*zip(box.lo, box.hi))] + [(box.lo + box.hi) / 2]
+        x = np.linspace(5.0, 80.0, 301)
+        for theta in rows:
+            got, want = cdf(family, theta, x), scipy_cdf(family, theta, x)
+            # measured: 3.5e-12 absolute, 8.3e-12 relative on 1 - cdf
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-11)
+            tail = 1.0 - want >= 1e-300
+            np.testing.assert_allclose(1.0 - got[tail], 1.0 - want[tail], rtol=1e-10)
+            # a scalar x takes the scalar path: scipy's bits where it is a port
+            if family is not ModelFamily.GAMMA and family is not ModelFamily.INVERSE_GAUSSIAN:
+                assert_same_bits(np.array([cdf(family, theta, float(v)) for v in x[::10]]), want[::10])
+
+    def test_weibull_box_bit_identical_to_scipy(self, monkeypatch):
+        corners = lambda: np.array(  # noqa: E731
+            [params_from_moments(ModelFamily.WEIBULL, m, c) for m in ENVELOPE_MEAN for c in ENVELOPE_COV]
+        )
+        ours = corners()
+        monkeypatch.setattr(distributions, "special", scipy.special)
+        assert_same_bits(ours, corners())
+        box = default_uniform_prior(ModelFamily.WEIBULL)
+        assert_same_bits(np.array([box.lo, box.hi]), np.array([corners().min(axis=0), corners().max(axis=0)]))
 
 
 class TestDataset:

@@ -5,12 +5,13 @@ information-criterion weight identities (BIC weights are Bayes' rule with
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+import scipy
 from scipy.optimize import minimize, rosen
 from scipy.special import logsumexp, ndtr
 
 from conftest import generalized_bic_weights
 from mmuq.config import ExperimentConfig
-from mmuq import evidence
+from mmuq import evidence, special
 from mmuq.distributions import FAMILIES, Dataset, ModelFamily, params_from_moments, sample
 from mmuq.evidence import (
     _nelder_mead,
@@ -298,6 +299,43 @@ class TestNelderMeadPort:
             rosen, np.array([-1.2, 1.0]), maxiter=20, xatol=1e-10, fatol=1e-10
         )
         assert nit == 20
+
+
+class TestLogsumexpPort:
+    """``special.logsumexp`` is scipy 1.17's ``_logsumexp`` on a 1-D array:
+    its bits there; an older scipy (1.13 has log(sum(exp(a - max))) + max)
+    is matched within 4 eps."""
+
+    SAME_FORMULA = tuple(int(v) for v in scipy.__version__.split(".")[:2]) == (1, 17)
+
+    def assert_matches(self, a):
+        got, want = special.logsumexp(a), logsumexp(a)
+        if np.isnan(want):
+            assert np.isnan(got)
+        elif self.SAME_FORMULA or not np.isfinite(want):
+            assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
+        else:
+            assert abs(got - want) <= 4 * np.finfo(float).eps * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("n", [1, 10, 1000, 10_000])
+    @pytest.mark.parametrize("seed", [2018, 7])
+    @pytest.mark.parametrize("loc, scale", [(-3000.0, 40.0), (0.0, 2.0)], ids=["ll", "unit"])
+    def test_random_log_likelihoods(self, n, seed, loc, scale):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(loc, scale, n)
+        self.assert_matches(a)
+        a[rng.integers(0, n, n // 3)] = -np.inf  # zero-likelihood draws
+        self.assert_matches(a)
+        a[rng.integers(0, n, 3)] = np.max(a)  # ties at the maximum
+        self.assert_matches(a)
+
+    @pytest.mark.parametrize(
+        "a",
+        [[-np.inf, -np.inf], [np.inf, 1.0], [1e308, 1e308], [np.nan, 1.0], [0.0], [-745.0, 0.0, -1e-300]],
+        ids=["all-neg-inf", "pos-inf", "near-overflow", "nan", "one", "mixed"],
+    )
+    def test_edges(self, a):
+        self.assert_matches(np.array(a))
 
 
 class TestWeights:

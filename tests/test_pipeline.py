@@ -13,14 +13,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.special
 from scipy.stats import spearmanr
 
 from conftest import generalized_bic_weights
-from mmuq import pipeline as pipeline_module
-from mmuq.buckling import PlateConfig
+from mmuq import distributions as distributions_module, pipeline as pipeline_module
+from mmuq.buckling import PlateConfig, pf_semianalytic
 from mmuq.cli import main
 from mmuq.config import MODEL_PRIOR_NAMES, ExperimentConfig, load_config, model_prior_probs
-from mmuq.distributions import FAMILIES, ModelFamily
+from mmuq.distributions import FAMILIES, ModelFamily, params_from_moments
 from mmuq.evidence import aic_weights, information_criteria, savvy_priors
 from mmuq.io import write_dataset_csv
 from mmuq.mcmc import DegenerateChainError, EnsembleConfig
@@ -640,18 +641,25 @@ class TestCli:
         assert not (tmp_path / "out").exists()
 
     def test_rejected_config_exits_2_without_traceback(self, tmp_path):
-        # the installed script's path: sys.exit(main()) in a fresh process
+        # the installed script's path: sys.exit(main()) in a fresh process;
+        # a rejected config, and a config path that cannot be read
         config = self.write_config(tmp_path)
         config.write_text(json.dumps({**json.loads(config.read_text()), "n_d": 100.5}))
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-        run = subprocess.run(
-            [sys.executable, "-m", "mmuq.cli", "quantify", "--config", str(config)],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
-        assert run.returncode == 2
-        assert "Traceback" not in run.stderr
-        assert run.stderr.startswith("mmuq: ") and "n_d must be an integer" in run.stderr
-        assert not (tmp_path / "out").exists()
+        for path, message in (
+            (config, "n_d must be an integer"),
+            (tmp_path / "missing.json", "No such file or directory"),
+            (tmp_path, "Is a directory"),
+        ):
+            run = subprocess.run(
+                [sys.executable, "-m", "mmuq.cli", "quantify", "--config", str(path)],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert run.returncode == 2, run.stderr
+            assert "Traceback" not in run.stderr
+            assert run.stderr.startswith("mmuq: ") and run.stderr.count("\n") == 1
+            assert message in run.stderr
+            assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "bad, match",
@@ -669,10 +677,10 @@ class TestCli:
             self.assert_rejected(capsys, [stage, "--config", str(config)], match)
         assert not (tmp_path / "out").exists()
 
-    def test_study_never_imports_scipy_optimize(self, tmp_path):
-        # the box priors invert moment relations with distributions._brentq
-        # and savvy cells maximize likelihoods with evidence._nelder_mead;
-        # neither may pull in scipy.optimize (about 23 MB of resident memory)
+    def test_study_never_imports_scipy(self, tmp_path, monkeypatch):
+        # mmuq's own Brent root, Nelder-Mead and special functions stand in
+        # for scipy's: a study, and the pf oracle on every family, must run
+        # with scipy unimportable
         cfg = {
             "name": "lean", "dataset_sizes": [100],
             "parameter_priors": ["noninformative", "ABS-B"], "model_priors": ["uniform", "savvy"],
@@ -684,18 +692,25 @@ class TestCli:
         config.write_text(json.dumps(cfg))
         script = """
 import json, sys
-from mmuq import distributions, evidence
+sys.modules["scipy"] = None  # any scipy import now raises ImportError
+from mmuq import FAMILIES, distributions, evidence, special
+from mmuq.buckling import pf_semianalytic
 from mmuq.cli import main
 
 reached = set()
-for module, name in ((distributions, "_brentq"), (evidence, "_nelder_mead")):
+for module, name in (
+    (distributions, "_brentq"), (evidence, "_nelder_mead"), (evidence, "logsumexp"),
+    *((special, f) for f in ("gammaln", "gamma", "ndtr", "log_ndtr", "gammainc", "expit")),
+):
     def spy(*args, _real=getattr(module, name), _name=name, **kwargs):
         reached.add(_name)
         return _real(*args, **kwargs)
     setattr(module, name, spy)
 codes = [main([stage, "--config", sys.argv[1], "--out", sys.argv[2]])
          for stage in ("quantify", "propagate")]
-print(json.dumps([codes, sorted(reached), "scipy.optimize" in sys.modules]))
+pf = [pf_semianalytic(f, distributions.params_from_moments(f, 34.782, 0.116), 0.6) for f in FAMILIES]
+scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy" and sys.modules[m] is not None)
+print(json.dumps([codes, sorted(reached), pf, scipy]))
 """
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
         run = subprocess.run(
@@ -703,10 +718,23 @@ print(json.dumps([codes, sorted(reached), "scipy.optimize" in sys.modules]))
             capture_output=True, text=True, env=env, timeout=300,
         )
         assert run.returncode == 0, run.stderr
-        codes, reached, imported = json.loads(run.stdout.splitlines()[-1])
+        codes, reached, pf, scipy_modules = json.loads(run.stdout.splitlines()[-1])
         assert codes == [0, 0]
-        assert reached == ["_brentq", "_nelder_mead"]
-        assert not imported
+        assert reached == sorted(
+            ["_brentq", "_nelder_mead", "logsumexp", "gammaln", "gamma", "ndtr", "log_ndtr", "gammainc", "expit"]
+        )
+        assert scipy_modules == []
+        # the oracle's pf, the same on scipy.special: its bits where the
+        # scalar path is a port, within gammainc's and log_ndtr's accuracy
+        monkeypatch.setattr(distributions_module, "special", scipy.special)
+        want = [
+            pf_semianalytic(f, params_from_moments(f, 34.782, 0.116), 0.6) for f in FAMILIES
+        ]
+        assert all(0.0 < p < 1.0 for p in want), want
+        np.testing.assert_allclose(pf, want, rtol=1e-10, atol=0.0)
+        for family, got, oracle in zip(FAMILIES, pf, want):
+            if family not in (ModelFamily.GAMMA, ModelFamily.INVERSE_GAUSSIAN):
+                assert got == oracle, family
 
     def test_partial_failure_exit_code(self, tmp_path, monkeypatch):
         config = self.write_config(tmp_path)
