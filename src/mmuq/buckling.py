@@ -16,6 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .distributions import (
+    _blocks,
     Dataset,
     ModelFamily,
     cdf as dist_cdf,
@@ -39,6 +40,11 @@ __all__ = [
 ]
 
 FAILURE_THRESHOLD = 0.6
+
+# Cells per point counted by ``response_moments``'s ``_blocks``: the log
+# density's features and result, psi and its temporaries, and the two
+# integrands.
+_QUADRATURE_CELLS_PER_POINT = 16
 
 
 @dataclass(frozen=True)
@@ -129,15 +135,27 @@ def response_moments(
 ) -> tuple[float, float]:
     """Quadrature mean and variance of psi(sigma0) under one yield-strength
     model (trapezoid rule on 200,001 points over +-12 sd); independent of
-    the sampling-based propagation path."""
+    the sampling-based propagation path.
+
+    The rule runs over blocks of points (``_blocks``), each evaluating the
+    density and psi once per point and closing the interval to the previous
+    block's last point, so memory stays at the grid plus one block."""
     mean_s, sd_s = dist_moments(family, theta)
     lo = max(mean_s - 12.0 * sd_s, 1e-6)
     hi = mean_s + 12.0 * sd_s
     grid = np.linspace(lo, hi, 200_001)
-    density = np.exp(dist_log_pdf(family, theta, grid))
-    gv = buckling_response(base)(grid)
-    m1 = float(np.trapezoid(gv * density, grid))
-    m2 = float(np.trapezoid(gv * gv * density, grid))
+    g = buckling_response(base)
+    m1 = m2 = 0.0
+    edge = np.empty((2, 0))  # [g p, g^2 p] at the point before the block
+    for block in _blocks(grid.size, _QUADRATURE_CELLS_PER_POINT):
+        x = grid[block]
+        density = np.exp(dist_log_pdf(family, theta, x))
+        gv = g(x)
+        f = np.concatenate((edge, [gv * density, gv * gv * density]), axis=1)
+        points = grid[max(block.start - 1, 0) : block.stop]
+        m1 += float(np.trapezoid(f[0], points))
+        m2 += float(np.trapezoid(f[1], points))
+        edge = f[:, -1:]
     return m1, m2 - m1 * m1
 
 

@@ -52,7 +52,9 @@ Two layout rules serve the likelihood, the grid, the KDE prior density and
 propagation's density blocks, each from one function: ``_matmul`` is the
 only code that pads an operand, so that np.matmul cannot switch BLAS routine
 on a one-row or one-column shape, and ``_blocks`` is the only code that
-sizes blocks from ``_BLOCK_CELLS``.
+sizes blocks from ``_BLOCK_CELLS``.  ``_matmul`` and ``log_pdf_grid`` write
+to a caller's buffer through ``out=`` (propagation reuses one per call); it
+must be C-contiguous, as np.matmul runs no BLAS into a strided ``out``.
 
 ``params_from_moments`` inverts the Weibull and Loglogistic moment relations
 (behind the noninformative boxes and the MLE starts) with ``_brentq``, a
@@ -286,8 +288,10 @@ def _outside(family: ModelFamily, x: np.ndarray) -> np.ndarray:
 # densities and sampling
 
 
-def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` on a BLAS routine that no degenerate shape changes.
+def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``a @ b`` on a BLAS routine that no degenerate shape changes, written
+    to ``out`` if given (C-contiguous: np.matmul does not run BLAS into a
+    strided ``out``).
 
     np.matmul sends a one-row ``a`` or a one-column ``b`` to GEMV instead of
     GEMM, and a one-column ``b`` after a vector ``a`` to dot instead of GEMV;
@@ -300,12 +304,17 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     and np.matmul's own loop for it is slower than the outer product.  This
     is the only code that pads an operand."""
     if a.ndim == 2 and a.shape[1] == 1:
-        return a * b
+        return np.multiply(a, b, out=out)
     if b.shape[1] == 1:
-        return _matmul(a, np.concatenate((b, b), axis=1))[..., :1]
-    if a.ndim == 2 and a.shape[0] == 1:
-        return (np.concatenate((a, a)) @ b)[:1]
-    return a @ b
+        product = _matmul(a, np.concatenate((b, b), axis=1))[..., :1]
+    elif a.ndim == 2 and a.shape[0] == 1:
+        product = (np.concatenate((a, a)) @ b)[:1]
+    else:
+        return np.matmul(a, b, out=out)
+    if out is None:
+        return product
+    out[...] = product
+    return out
 
 
 def _blocks(count: int, cells_per_item: int) -> list[slice]:
@@ -541,7 +550,13 @@ def log_likelihood_batch(family: ModelFamily, thetas: np.ndarray, data: Dataset)
     return ll
 
 
-def log_pdf_grid(family: ModelFamily, thetas: np.ndarray, x: np.ndarray) -> np.ndarray:
+def log_pdf_grid(
+    family: ModelFamily,
+    thetas: np.ndarray,
+    x: np.ndarray,
+    out: np.ndarray | None = None,
+    scratch: tuple[np.ndarray, np.ndarray] | None = None,
+) -> np.ndarray:
     """Matrix of log densities: rows are parameter vectors, columns grid
     points.  Rows must be valid.
 
@@ -549,6 +564,12 @@ def log_pdf_grid(family: ModelFamily, thetas: np.ndarray, x: np.ndarray) -> np.n
     an infinite feature (u^2 overflowed, ln x at x = 0, 1/x at a subnormal
     x; the cell may hold inf - inf), are then set to -inf.  ``log_pdf``
     returns one row of it.
+
+    The matrix is written to ``out`` and returned, a fresh array if None.
+    ``scratch`` is two arrays of the same shape for the term h and its spare
+    (``_cell_term``), fresh ones if None; only Logistic, Loglogistic and
+    Weibull touch them.  Both must be C-contiguous (``_matmul``); they give
+    the same bits as fresh arrays.
     """
     thetas = _param_rows(thetas)
     x = np.asarray(x, dtype=float)
@@ -557,10 +578,11 @@ def log_pdf_grid(family: ModelFamily, thetas: np.ndarray, x: np.ndarray) -> np.n
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         feats = _features(family, x)
         coef = _coefficients(family, thetas)
-        out = _matmul(coef, feats)
+        out = _matmul(coef, feats, out=out)
         if family in _CELL_TERM_OF_LOG_X:
             # feature 0 of Loglogistic and Weibull is ln x
-            out += _cell_term(family, thetas, feats[0] if _CELL_TERM_OF_LOG_X[family] else x)
+            t = feats[0] if _CELL_TERM_OF_LOG_X[family] else x
+            out += _cell_term(family, thetas, t, *(scratch or (None, None)))
     out[:, _outside(family, x) | np.isinf(feats).any(axis=0)] = _NEG_INF
     return out
 

@@ -174,7 +174,8 @@ def sample_posterior(
         )
     if not 0.05 < rate < 0.95:
         logger.warning("acceptance rate %.3f outside (0.05, 0.95) for %s", rate, family)
-    flat = chain[cfg.burn_in :].reshape(-1, 2)
+    # a copy, so the burn-in steps are not kept alive behind a view
+    flat = chain[cfg.burn_in :].reshape(-1, 2).copy()
     return PosteriorChain(samples=flat, acceptance_rate=rate)
 
 

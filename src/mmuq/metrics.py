@@ -9,6 +9,7 @@ the true value).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,8 +139,32 @@ def confidence_range(cdf: EmpiricalCdf) -> float:
             f"need at least {MIN_CONFIDENCE_POINTS} points for quantile resolution, "
             f"got {cdf.n}"
         )
-    lo, hi = np.quantile(cdf.values, [0.025, 0.975])
-    return float(hi - lo)
+    return _sorted_quantile(cdf.values, 0.975) - _sorted_quantile(cdf.values, 0.025)
+
+
+def _sorted_quantile(values: np.ndarray, q: float) -> float:
+    """numpy's ``'linear'`` quantile of ascending ``values``, step for step:
+    the virtual index (n - 1) q, its floor and neighbour clamped to the
+    ends (an index of -1 for the last), gamma = index - floor, and
+    ``_lerp``'s two branches.  It returns np.quantile's bits without the
+    partition and ``np.unique`` that import numpy.ma; only where 0.0 and
+    -0.0 are both in ``values`` may it pick the other zero, as numpy's
+    partition may reorder equal values."""
+    if np.isnan(values[-1]):
+        return float("nan")
+    n = values.size
+    virtual = (n - 1) * q
+    if virtual >= n - 1:
+        i = j = -1
+    elif virtual < 0:
+        i = j = 0
+    else:
+        i = math.floor(virtual)
+        j = i + 1
+    gamma = virtual - i
+    a, b = float(values[i]), float(values[j])
+    diff = b - a
+    return b - diff * (1.0 - gamma) if gamma >= 0.5 else a + diff * gamma
 
 
 def area_validation_metric(cdf: EmpiricalCdf, truth: float) -> float:

@@ -34,8 +34,6 @@ import traceback
 from collections import deque
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from multiprocessing import Pipe
-from multiprocessing.connection import wait
 from pathlib import Path
 
 import numpy as np
@@ -344,9 +342,12 @@ class StudyPipeline:
         pickled on the way in; it sends its result and the store entries it
         added through a pipe, and the caller merges them into this
         pipeline's store.  A child that ends without sending fails only its
-        own unit.
+        own unit.  multiprocessing is imported only when a child is forked.
         """
         processes = self._process_count(len(units))
+        if processes > 1:
+            from multiprocessing import Pipe
+            from multiprocessing.connection import wait
         run = getattr(self, method)
         out: list = [None] * len(units)
         pending = deque(range(len(units)))
@@ -375,7 +376,7 @@ class StudyPipeline:
             if pending:
                 i = pending.popleft()
                 out[i] = (_call(run, units[i]), "caller")
-                ready = wait(list(running), timeout=0)
+                ready = wait(list(running), timeout=0) if running else []
             else:
                 ready = wait(list(running))
             for reader in ready:

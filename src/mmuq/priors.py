@@ -107,7 +107,8 @@ class KdePrior:
     _kernel_terms: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        samples = np.atleast_2d(np.asarray(self.support_samples, dtype=float))
+        # a copy: a strided view of a chain would keep the whole chain alive
+        samples = np.atleast_2d(np.array(self.support_samples, dtype=float))
         bw = np.asarray(self.bandwidths, dtype=float)
         if samples.ndim != 2 or samples.shape[1] != PARAM_DIM or bw.shape != (PARAM_DIM,):
             raise ValueError("need (n, 2) support samples and 2 bandwidths")
@@ -229,6 +230,7 @@ def build_informative_prior(
     if support.shape[0] > max_components:
         stride = int(np.ceil(support.shape[0] / max_components))
         support = support[::stride]
+    # the bandwidths come from the strided view; KdePrior keeps a copy
     return KdePrior(support_samples=support, bandwidths=kde_bandwidths(support))
 
 

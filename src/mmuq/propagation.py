@@ -36,6 +36,11 @@ __all__ = [
 ]
 
 
+# Cells per row counted by ``sample_mixture``'s ``_blocks`` chunks: the
+# parameter row copy, the draw and the sampler's temporaries.
+_SAMPLE_CELLS_PER_ROW = 8
+
+
 @dataclass
 class DistributionEnsemble:
     """Sampled (family, parameters) pairs approximating the total
@@ -124,19 +129,30 @@ def _density_blocks(ens: DistributionEnsemble, x: np.ndarray):
     member in ``_by_family`` order: one ``log_pdf_grid`` call per family,
     exponentiated in place.  Blocks are sized by ``_blocks``, so memory
     stays bounded whatever the member and point counts.
+
+    Every block is written into one buffer allocated per call, with two
+    scratch planes for the term h of Logistic, Loglogistic and Weibull, so
+    no block allocates (or faults in) a (members x points) array of its
+    own: the next block overwrites the one just yielded.  Each block and
+    scratch plane is a C-contiguous prefix view, never a column slice of a
+    wider array, so the GEMM of ``log_pdf_grid`` runs on the same BLAS
+    routine as on a fresh array and gives the same bits.
     """
     order = _by_family(ens)
     codes = ens.family_codes[order]
     thetas = ens.thetas[order]
-    _, starts = np.unique(codes, return_index=True)
-    runs = list(zip(starts, np.append(starts[1:], codes.size)))
-    for cols in _blocks(x.size, ens.n_members):
-        if len(runs) == 1:
-            dens = log_pdf_grid(FAMILIES[codes[0]], thetas, x[cols])
-        else:
-            dens = np.empty((ens.n_members, cols.stop - cols.start))
-            for lo, hi in runs:
-                dens[lo:hi] = log_pdf_grid(FAMILIES[codes[lo]], thetas[lo:hi], x[cols])
+    # the first row of each family's run (np.unique would import numpy.ma)
+    starts = np.flatnonzero(np.diff(codes, prepend=-1))
+    runs = [(lo, hi, FAMILIES[codes[lo]]) for lo, hi in zip(starts, [*starts[1:], codes.size])]
+    rows = ens.n_members
+    blocks = _blocks(x.size, rows)
+    planes = np.empty((3, rows * (blocks[0].stop if blocks else 0)))
+    for cols in blocks:
+        cells = rows * (cols.stop - cols.start)
+        dens, h, spare = (plane[:cells].reshape(rows, -1) for plane in planes)
+        for lo, hi, family in runs:
+            scratch = (h[lo:hi], spare[lo:hi])
+            log_pdf_grid(family, thetas[lo:hi], x[cols], out=dens[lo:hi], scratch=scratch)
         np.exp(dens, out=dens)
         yield cols, dens
 
@@ -160,15 +176,22 @@ def mixture_density(ens: DistributionEnsemble, x) -> np.ndarray | float:
 
 
 def sample_mixture(ens: DistributionEnsemble, rng: np.random.Generator, n: int) -> np.ndarray:
-    """Draw from the mixture: pick a member uniformly, then draw from it."""
+    """Draw from the mixture: pick a member uniformly, then draw from it.
+
+    The draws go family by family in ``FAMILIES`` order, each family's rows
+    in ``_blocks`` chunks; consecutive ``sample_one_per`` calls on one
+    generator give the bits of a single call, so the chunks only bound the
+    memory of the per-row parameter copies."""
     if n < 1:
         raise ValueError("n must be >= 1")
     member = rng.integers(0, ens.n_members, size=n)
+    codes = ens.family_codes[member]
     x = np.empty(n)
-    for j in range(len(FAMILIES)):
-        sel = np.flatnonzero(ens.family_codes[member] == j)
-        if sel.size:
-            x[sel] = sample_one_per(FAMILIES[j], ens.thetas[member[sel]], rng)
+    for j, family in enumerate(FAMILIES):
+        sel = np.flatnonzero(codes == j)
+        for chunk in _blocks(sel.size, _SAMPLE_CELLS_PER_ROW):
+            rows = sel[chunk]
+            x[rows] = sample_one_per(family, ens.thetas[member[rows]], rng)
     return x
 
 
@@ -193,8 +216,9 @@ def propagate(
     (one GEMV), and every member's weighted sums from one GEMM with the
     (points x 4) moment columns, each point's row divided by its q, so the
     weights p_i / q are never formed.  The sums stay in the blocks'
-    family-sorted row order until the loop ends.  Memory is bounded by one
-    block (``_density_blocks``) plus a few length-n arrays, not by n_d x n.
+    family-sorted row order until the loop ends.  Memory is x, g(x) and one
+    block buffer (``_density_blocks``, whose next block overwrites the last,
+    and the block's moment columns), not n_d x n or n x 4.
     """
     if x_samples is None:
         x = sample_mixture(ens, rng, n)
@@ -209,16 +233,22 @@ def propagate(
         bad = x[~np.isfinite(gv)][0]
         raise ValueError(f"g returned a non-finite value at x={bad!r}")
 
-    # Columns [1, g, (g - r)^2, 1{g < threshold}], r the sample mean of g:
-    # one GEMM per block gives every member's weight sum and the three
-    # weighted sums at once.
+    # Columns [1, g, (g - r)^2, 1{g < threshold}], r the sample mean of g,
+    # built per block in one reused (points x 4) buffer and divided by q in
+    # place: one GEMM per block gives every member's weight sum and the
+    # three weighted sums at once.
     r = gv.mean()
-    shifted = gv - r
-    shifted *= shifted
-    moments = np.column_stack([np.ones(n), gv, shifted, gv < failure_threshold])
     sorted_sums = np.zeros((ens.n_members, 4))
+    buffer = np.empty((_blocks(n, ens.n_members)[0].stop, 4))  # rows of the first, widest block
     for cols, dens in _density_blocks(ens, x):
-        sorted_sums += _matmul(dens, moments[cols] / _member_mean(dens)[:, None])
+        moments = buffer[: cols.stop - cols.start]
+        g_block = gv[cols]
+        moments[:, 0] = 1.0
+        moments[:, 1] = g_block
+        np.square(g_block - r, out=moments[:, 2])
+        np.less(g_block, failure_threshold, out=moments[:, 3])
+        moments /= _member_mean(dens)[:, None]
+        sorted_sums += _matmul(dens, moments)
     sums = np.empty_like(sorted_sums)
     sums[_by_family(ens)] = sorted_sums
     sums /= n

@@ -4,6 +4,7 @@ oracle."""
 import numpy as np
 import pytest
 
+from mmuq import buckling
 from mmuq.buckling import (
     MEAN_PLATE,
     TRUE_MODEL,
@@ -14,7 +15,14 @@ from mmuq.buckling import (
     pf_semianalytic,
     response_moments,
 )
-from mmuq.distributions import FAMILIES, ModelFamily, moments, params_from_moments, sample
+from mmuq.distributions import (
+    FAMILIES,
+    ModelFamily,
+    log_pdf,
+    moments,
+    params_from_moments,
+    sample,
+)
 from mmuq.seeding import rng_for
 
 
@@ -59,6 +67,33 @@ class TestPsiFormulas:
         assert grid[np.argmax(vals)] < 17.0
         tail = vals[grid >= 17.0]
         assert np.all(np.diff(tail) < 0.0)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_blocked_truth_quadrature_equals_the_whole_trapezoid(self, family, monkeypatch):
+        # every point's psi is evaluated once, and the blocked sums agree
+        # with one trapezoid over the whole grid up to summation order
+        theta = params_from_moments(family, 34.782, 0.116)
+        points = []
+        g = buckling_response(MEAN_PLATE)
+
+        def counted(base):
+            def psi(x):
+                points.append(x.size)
+                return g(x)
+
+            return psi
+
+        monkeypatch.setattr(buckling, "buckling_response", counted)
+        m, v = response_moments(family, theta, MEAN_PLATE)
+        assert len(points) > 1 and sum(points) == 200_001
+        mean_s, sd_s = moments(family, theta)
+        grid = np.linspace(max(mean_s - 12.0 * sd_s, 1e-6), mean_s + 12.0 * sd_s, 200_001)
+        density = np.exp(log_pdf(family, theta, grid))
+        gv = g(grid)
+        m1 = np.trapezoid(gv * density, grid)
+        m2 = np.trapezoid(gv * gv * density, grid)
+        assert m == pytest.approx(m1, rel=1e-14)
+        assert v == pytest.approx(m2 - m1 * m1, rel=1e-11)
 
     def test_response_moments_match_sampling(self, rng):
         m, v = response_moments(TRUE_MODEL.family, TRUE_MODEL.theta, MEAN_PLATE)

@@ -619,6 +619,29 @@ class TestLogPdfGrid:
         assert_same_bits(log_pdf_grid(family, thetas[::7], x), full[::7])
 
     @pytest.mark.parametrize("family", FAMILIES)
+    def test_out_and_scratch_give_the_bits_of_fresh_arrays(self, family, rng):
+        # propagation writes each family's run into a row slice of one
+        # reused buffer, its h and spare into two more; the buffers hold the
+        # previous block's values, here NaN
+        box = default_uniform_prior(family)
+        thetas = rng.uniform(box.lo, box.hi, size=(40, 2))
+        x = edge_and_random_points(rng)
+        flat = np.full(3 * thetas.shape[0] * x.size, np.nan)
+        for rows, cols in [(slice(0, 40), slice(None)), (slice(7, 8), slice(None)),
+                           (slice(0, 40), slice(5, 6)), (slice(3, 4), slice(9, 10)),
+                           (slice(10, 30), slice(0, 131))]:
+            points = x[cols]
+            width = points.size
+            buffer, h, spare = (
+                plane[: thetas.shape[0] * width].reshape(-1, width)
+                for plane in flat.reshape(3, -1)
+            )
+            out = buffer[rows]
+            got = log_pdf_grid(family, thetas[rows], points, out=out, scratch=(h[rows], spare[rows]))
+            assert got is out
+            assert_same_bits(out, log_pdf_grid(family, thetas[rows], points))
+
+    @pytest.mark.parametrize("family", FAMILIES)
     def test_likelihood_row_depends_only_on_its_row(self, family, rng):
         # At n = 10^4 a 1000-row call spans many row blocks of the data
         # term, so a row's value must not depend on which block it lands in
@@ -672,6 +695,18 @@ class TestMatmul:
         for j in range(6):
             assert_same_bits(_matmul(a, b[:, j : j + 1]), full[:, j : j + 1])
             assert_same_bits(_matmul(a[:1], b[:, j : j + 1]), full[:1, j : j + 1])
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    @pytest.mark.parametrize("rows, cols", [(5, 6), (1, 6), (5, 1), (1, 1)])
+    def test_out_gives_the_bits_of_a_fresh_product(self, k, rows, cols, rng):
+        a = rng.standard_normal((rows, k))
+        b = rng.standard_normal((k, cols))
+        out = np.full(rows * cols + 3, np.nan)[: rows * cols].reshape(rows, cols)
+        assert _matmul(a, b, out=out) is out
+        assert_same_bits(out, _matmul(a, b))
+        v, out = a[0], np.full(cols, np.nan)
+        assert _matmul(v, b, out=out) is out
+        assert_same_bits(out, _matmul(v, b))
 
     def test_vector_cells(self, rng):
         # q in propagation: a vector a is a GEMV; on a one-column b

@@ -6,6 +6,7 @@ import pytest
 from conftest import reference_stretch_sampler
 from scipy.stats import chi2, norm
 
+from mmuq import mcmc
 from mmuq.distributions import Dataset, ModelFamily, _valid_rows, log_likelihood_batch, sample
 from mmuq.mcmc import (
     DegenerateChainError,
@@ -230,6 +231,23 @@ class TestSamplePosterior:
         b = sample_posterior(ModelFamily.NORMAL, data, prior, cfg, np.random.default_rng(12))
         np.testing.assert_array_equal(a.samples, b.samples)
         assert a.acceptance_rate == b.acceptance_rate
+
+    def test_samples_are_a_copy_of_the_post_burn_in_rows(self, rng, monkeypatch):
+        # a view would keep the burn-in steps alive with the chain
+        data, prior, _ = self.conjugate_setup(rng, n=10)
+        cfg = EnsembleConfig(n_walkers=16, n_steps=200, burn_in=50)
+        runs = []
+
+        def recording(*args):
+            runs.append(run_ensemble_sampler(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(mcmc, "run_ensemble_sampler", recording)
+        chain = sample_posterior(ModelFamily.NORMAL, data, prior, cfg, np.random.default_rng(12))
+        assert chain.samples.base is None
+        full, _ = runs[0]
+        want = full[cfg.burn_in :].reshape(-1, 2)
+        assert chain.samples.tobytes() == want.tobytes()
 
     def test_initialization_failure_names_model_and_prior(self):
         # negative observation kills every lognormal likelihood

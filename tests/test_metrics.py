@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mmuq import distributions
+from mmuq import distributions, metrics
 from mmuq.distributions import FAMILIES, ModelFamily, params_from_moments, pdf
 from mmuq.metrics import (
     CoarseGridError,
@@ -160,6 +160,23 @@ class TestConfidenceRange:
     def test_too_few_points(self):
         with pytest.raises(ValueError):
             confidence_range(EmpiricalCdf.from_samples(np.arange(39)))
+
+    def test_quantiles_are_numpys_bit_for_bit(self, rng):
+        # the port of numpy's 'linear' quantile, on sorted samples with and
+        # without ties (values rounded to a few levels), at every n from 40
+        # to 300 and at larger n up to 10^4
+        for n in [*range(40, 301), 1000, 4097, 9999, 10**4]:
+            for values in (
+                rng.lognormal(0.0, 2.0, n),
+                np.round(rng.uniform(0.0, 3.0, n), 1),
+                rng.integers(0, 3, n).astype(float),
+            ):
+                values = np.sort(values)
+                want = np.quantile(values, [0.025, 0.975])
+                got = [metrics._sorted_quantile(values, q) for q in (0.025, 0.975)]
+                assert np.array(got).tobytes() == want.tobytes(), n
+                cdf = EmpiricalCdf(values)
+                assert confidence_range(cdf) == float(want[1] - want[0])
 
 
 class TestAreaValidationMetric:

@@ -677,6 +677,35 @@ class TestCli:
             self.assert_rejected(capsys, [stage, "--config", str(config)], match)
         assert not (tmp_path / "out").exists()
 
+    def test_single_process_propagate_loads_neither_multiprocessing_nor_numpy_ma(self, tmp_path):
+        # multiprocessing is imported only to fork, and the propagate stage
+        # runs no np.unique or np.quantile, which import numpy.ma
+        cfg = {
+            "name": "lazy", "dataset_sizes": [100], "parameter_priors": ["noninformative"],
+            "model_priors": ["strong_correct"], "chain_steps": 200, "chain_burn_in": 50,
+            "n_k": 500, "n_d": 100, "n_propagation": 2000,
+        }
+        config = tmp_path / "lazy.json"
+        config.write_text(json.dumps(cfg))
+        script = """
+import json, sys
+from mmuq.cli import main
+code = main(["propagate", "--config", sys.argv[1], "--out", sys.argv[2]])
+loaded = sorted(
+    m for m in sys.modules
+    if m.split(".")[0] == "multiprocessing" or m.split(".")[:2] == ["numpy", "ma"]
+)
+print(json.dumps([code, loaded]))
+"""
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        run = subprocess.run(
+            [sys.executable, "-c", script, str(config), str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert run.returncode == 0, run.stderr
+        assert json.loads(run.stdout.splitlines()[-1]) == [0, []]
+        assert list((tmp_path / "out").rglob("metrics_output.csv"))
+
     def test_study_never_imports_scipy(self, tmp_path, monkeypatch):
         # mmuq's own Brent root, Nelder-Mead and special functions stand in
         # for scipy's: a study, and the pf oracle on every family, must run

@@ -16,7 +16,8 @@ from mmuq.distributions import (
     sample,
     sample_one_per,
 )
-from mmuq.mcmc import EnsembleConfig
+from mmuq import priors
+from mmuq.mcmc import EnsembleConfig, sample_posterior
 from mmuq.priors import (
     DegenerateDataError,
     ENVELOPE_COV,
@@ -275,6 +276,24 @@ def test_log_density_rejects_rows_that_are_not_pairs(call, thetas):
 
 
 class TestBuildInformativePrior:
+    def test_support_is_a_copy_of_the_strided_chain(self, monkeypatch):
+        # a strided view would keep the whole pre-prior chain alive; the
+        # bandwidths are those of the view
+        chains = []
+
+        def recording(*args):
+            chains.append(sample_posterior(*args))
+            return chains[-1]
+
+        monkeypatch.setattr(priors, "sample_posterior", recording)
+        prior = quick_prior(ModelFamily.LOGNORMAL, historical_dataset("ABS-B"), max_components=700)
+        samples = chains[0].samples
+        stride = int(np.ceil(samples.shape[0] / 700))
+        assert stride > 1
+        assert prior.support_samples.base is None
+        assert prior.support_samples.tobytes() == samples[::stride].tobytes()
+        assert prior.bandwidths.tobytes() == kde_bandwidths(samples[::stride]).tobytes()
+
     def test_abs_b_prior_mode_near_generator(self):
         historical = historical_dataset("ABS-B")
         assert historical.n == 79

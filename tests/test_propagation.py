@@ -26,6 +26,8 @@ from mmuq.propagation import (
     sample_mixture,
 )
 
+from conftest import STUDY_THETAS
+
 LN_THETA = params_from_moments(ModelFamily.LOGNORMAL, 34.782, 0.116)
 
 # One member per family, two of each, shuffled; the Normal and Logistic
@@ -442,8 +444,8 @@ class TestPropagate:
     def test_one_density_evaluation_per_cell(self, monkeypatch):
         cells, widths = [], []
 
-        def counting(family, thetas, x):
-            out = log_pdf_grid(family, thetas, x)
+        def counting(family, thetas, x, **buffers):
+            out = log_pdf_grid(family, thetas, x, **buffers)
             cells.append(out.size)
             widths.append(x.size)
             return out
@@ -484,3 +486,138 @@ class TestPropagate:
         x = np.ones(shape)
         with pytest.raises(ValueError, match=rf"shape \({shape[0]},.*n=20"):
             propagate(ens, lambda v: v, 20, None, x_samples=x)
+
+
+# Reference versions of the density pass, the mixture sampler and the
+# propagate sums as they were before their blocks ran in reused buffers:
+# every block and every run a fresh array, one sampler call per family and
+# the (n x 4) moment columns built once.
+
+
+def fresh_density_blocks(ens, x):
+    order = np.argsort(ens.family_codes, kind="stable")
+    codes = ens.family_codes[order]
+    thetas = ens.thetas[order]
+    _, starts = np.unique(codes, return_index=True)
+    runs = list(zip(starts, np.append(starts[1:], codes.size)))
+    for cols in distributions._blocks(x.size, ens.n_members):
+        if len(runs) == 1:
+            dens = log_pdf_grid(FAMILIES[codes[0]], thetas, x[cols])
+        else:
+            dens = np.empty((ens.n_members, cols.stop - cols.start))
+            for lo, hi in runs:
+                dens[lo:hi] = log_pdf_grid(FAMILIES[codes[lo]], thetas[lo:hi], x[cols])
+        np.exp(dens, out=dens)
+        yield cols, dens
+
+
+def unchunked_sample_mixture(ens, rng, n):
+    member = rng.integers(0, ens.n_members, size=n)
+    x = np.empty(n)
+    for j in range(len(FAMILIES)):
+        sel = np.flatnonzero(ens.family_codes[member] == j)
+        if sel.size:
+            x[sel] = distributions.sample_one_per(FAMILIES[j], ens.thetas[member[sel]], rng)
+    return x
+
+
+def moment_matrix_sums(ens, gv, threshold):
+    """propagate's family-sorted sums from the whole (n x 4) moment matrix
+    and fresh density blocks."""
+    r = gv.mean()
+    shifted = gv - r
+    shifted *= shifted
+    moments = np.column_stack([np.ones(gv.size), gv, shifted, gv < threshold])
+    sums = np.zeros((ens.n_members, 4))
+    for cols, dens in fresh_density_blocks(ens, gv):
+        q = distributions._matmul(np.ones(dens.shape[0]), dens) / dens.shape[0]
+        sums += distributions._matmul(dens, moments[cols] / q[:, None])
+    return sums
+
+
+def study_ensemble(family, n_d, seed=21):
+    """``n_d`` members of one family about its study-point parameters,
+    jittered by 2%."""
+    theta = np.array(STUDY_THETAS[family])
+    jitter = 1.0 + 0.02 * np.random.default_rng(seed).standard_normal((n_d, 2))
+    return DistributionEnsemble(np.full(n_d, FAMILIES.index(family)), theta * jitter)
+
+
+def seven_family_ensemble(n_d=70, seed=22):
+    rng = np.random.default_rng(seed)
+    codes = rng.permutation(np.arange(n_d) % len(FAMILIES))
+    thetas = np.array([STUDY_THETAS[FAMILIES[c]] for c in codes])
+    thetas *= 1.0 + 0.02 * rng.standard_normal(thetas.shape)
+    return DistributionEnsemble(codes, thetas)
+
+
+class TestBlocksInReusedBuffers:
+    """The density blocks, the mixture draws and the propagate sums give
+    the bits of the fresh-array reference versions above."""
+
+    @pytest.mark.parametrize(
+        "ensemble, block_cells",
+        [
+            (seven_family_ensemble, 70 * 64),  # 64-point blocks, a tail of 17
+            (lambda: study_ensemble(ModelFamily.LOGLOGISTIC, 1), 64),
+        ],
+    )
+    def test_blocks_equal_fresh_grids_and_share_one_buffer(
+        self, ensemble, block_cells, monkeypatch
+    ):
+        monkeypatch.setattr(distributions, "_BLOCK_CELLS", block_cells)
+        ens = ensemble()
+        x = np.random.default_rng(23).uniform(20.0, 50.0, 1041)
+        x[::50] = -1.0  # outside every positive support
+        got = [(cols, dens.copy(), dens) for cols, dens in propagation._density_blocks(ens, x)]
+        want = list(fresh_density_blocks(ens, x))
+        assert len(got) == len(want) > 2
+        assert got[-1][0].stop - got[-1][0].start < got[0][0].stop - got[0][0].start
+        addresses = set()
+        for (cols, block, view), (want_cols, want_block) in zip(got, want):
+            assert cols == want_cols
+            assert block.tobytes() == want_block.tobytes()
+            assert view.flags.c_contiguous
+            addresses.add(view.__array_interface__["data"][0])
+        assert len(addresses) == 1
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_propagate_sums_equal_the_moment_matrix_version(self, family, monkeypatch):
+        # one family, and the same family among the other six
+        monkeypatch.setattr(distributions, "_BLOCK_CELLS", 2000)
+        for ens in (study_ensemble(family, 40), seven_family_ensemble()):
+            x = sample_mixture(ens, np.random.default_rng(24), 3001)
+            res = propagate(ens, lambda v: v, x.size, None, failure_threshold=34.0, x_samples=x)
+            sums = np.empty((ens.n_members, 4))
+            sums[propagation._by_family(ens)] = moment_matrix_sums(ens, x, 34.0)
+            sums /= x.size
+            assert res.mean_weights.tobytes() == sums[:, 0].tobytes()
+            assert res.means.tobytes() == sums[:, 1].tobytes()
+            assert res.pfs.tobytes() == sums[:, 3].tobytes()
+            d = res.means - x.mean()
+            variances = sums[:, 2] - d * (2.0 * (res.means - x.mean() * sums[:, 0]) - d * sums[:, 0])
+            assert res.variances.tobytes() == variances.tobytes()
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_sample_mixture_equals_one_draw_per_family(self, family, monkeypatch):
+        # 4096-cell blocks: chunks of 512 rows, so every family's rows
+        # span several sampler calls
+        monkeypatch.setattr(distributions, "_BLOCK_CELLS", 4096)
+        for ens in (study_ensemble(family, 40), seven_family_ensemble()):
+            got = sample_mixture(ens, np.random.default_rng(25), 20_000)
+            want = unchunked_sample_mixture(ens, np.random.default_rng(25), 20_000)
+            assert got.tobytes() == want.tobytes()
+
+    def test_propagate_memory_is_one_block_buffer(self):
+        # 1000 Lognormal members at n = 10^5: g(x) is 0.8 MB and the block
+        # buffer (density and two scratch planes) 3 MB; with a fresh array
+        # per block and the whole (n x 4) moment matrix the peak was 6.8 MB
+        ens = lognormal_ensemble(1000)
+        x = sample_mixture(ens, np.random.default_rng(26), 100_000)
+        tracemalloc.start()
+        try:
+            propagate(ens, lambda v: v * v, x.size, None, x_samples=x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20, peak
