@@ -550,12 +550,22 @@ def log_likelihood_batch(family: ModelFamily, thetas: np.ndarray, data: Dataset)
     return ll
 
 
+def _grid_coefficients(family: ModelFamily, thetas: np.ndarray) -> np.ndarray:
+    """The ``_coefficients`` of ``log_pdf_grid``'s (rows, 2) ``thetas``,
+    which must all be valid (else :class:`InvalidParameterError`)."""
+    if not np.all(_valid_rows(family, thetas)):
+        raise InvalidParameterError(f"invalid parameter rows for {family}")
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return _coefficients(family, thetas)
+
+
 def log_pdf_grid(
     family: ModelFamily,
     thetas: np.ndarray,
     x: np.ndarray,
     out: np.ndarray | None = None,
     scratch: tuple[np.ndarray, np.ndarray] | None = None,
+    coef: np.ndarray | None = None,
 ) -> np.ndarray:
     """Matrix of log densities: rows are parameter vectors, columns grid
     points.  Rows must be valid.
@@ -570,14 +580,17 @@ def log_pdf_grid(
     (``_cell_term``), fresh ones if None; only Logistic, Loglogistic and
     Weibull touch them.  Both must be C-contiguous (``_matmul``); they give
     the same bits as fresh arrays.
+
+    ``coef`` is for private use: the rows' ``_grid_coefficients``, which a
+    caller evaluating the same rows on many blocks of points computes (and
+    so validates) once.  It is trusted, and the rows are not checked again.
     """
     thetas = _param_rows(thetas)
     x = np.asarray(x, dtype=float)
-    if not np.all(_valid_rows(family, thetas)):
-        raise InvalidParameterError(f"invalid parameter rows for {family}")
+    if coef is None:
+        coef = _grid_coefficients(family, thetas)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         feats = _features(family, x)
-        coef = _coefficients(family, thetas)
         out = _matmul(coef, feats, out=out)
         if family in _CELL_TERM_OF_LOG_X:
             # feature 0 of Loglogistic and Weibull is ln x

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import ModelFamily, _matmul, log_pdf_grid
-from .propagation import DistributionEnsemble, _density_blocks
+from .propagation import DistributionEnsemble, _density_blocks, _distinct_members
 
 __all__ = [
     "EmpiricalCdf",
@@ -81,12 +81,16 @@ def _member_square_distance(
 ) -> np.ndarray:
     """Sum over members of the integral of (p - truth)^2 under each column
     of the (points x k) quadrature ``weights`` on ``x``: one evaluation of
-    every member density, one matrix product per density block."""
+    every distinct member density, one matrix product per density block,
+    each row's integrals weighted by its multiplicity."""
+    rows, counts, _ = _distinct_members(ens)
     total = np.zeros(weights.shape[1])
-    for cols, dens in _density_blocks(ens, x):
+    for cols, dens in _density_blocks(rows, x):
         dens -= truth_density[cols]
         dens *= dens
-        total += np.sum(_matmul(dens, weights[cols]), axis=0)
+        integrals = _matmul(dens, weights[cols])
+        integrals *= counts[:, None]
+        total += np.sum(integrals, axis=0)
     return total
 
 

@@ -6,6 +6,12 @@ of sampled distributions.  The equally weighted mixture of the ensemble
 members is the optimal sampling density; one Monte Carlo sample from it is
 reweighted by importance sampling to give every member's output statistics
 in a single pass over the physics function.
+
+Every density pass (``propagate``, ``mixture_density`` and the density
+metric) evaluates each distinct member once: members that repeat a chain
+row collapse into one row weighted by its multiplicity
+(``_distinct_members``), and each family run's coefficients are computed
+once per pass, not once per block of points (``_density_blocks``).
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ import numpy as np
 
 from .distributions import (
     _blocks,
+    _grid_coefficients,
     _matmul,
     FAMILIES,
     ModelFamily,
@@ -122,13 +129,54 @@ def _by_family(ens: DistributionEnsemble) -> np.ndarray:
     return np.argsort(ens.family_codes, kind="stable")
 
 
+def _distinct_members(
+    ens: DistributionEnsemble,
+) -> tuple[DistributionEnsemble, np.ndarray, np.ndarray]:
+    """``(rows, counts, member_row)``: the ensemble's distinct members, each
+    one row of ``rows``, with its multiplicity ``counts`` (float) and the row
+    ``member_row`` of every member.
+
+    Members are the same when their family and the bits of both parameters
+    agree, so every member's density is its row's, bit for bit.  Rejected
+    chain moves repeat rows and ``draw_ensemble`` draws with replacement, so
+    a density pass over ``rows`` skips the repeats.  The rows keep the
+    ``_by_family`` order of their first occurrences, so an ensemble with no
+    repeats is its own ``rows`` in that order, and ``_by_family(rows)`` is the
+    identity."""
+    order = _by_family(ens)
+    codes = ens.family_codes[order]
+    bits = ens.thetas[order].view(np.int64)
+    # a dict over the members, not a sort: np.unique would import numpy.ma,
+    # and lexsort and its run tests page in about 0.3 MB more numpy code
+    row_of: dict[tuple[int, int, int], int] = {}
+    first = []  # the position in ``order`` of each row's first member
+    sorted_rows = []
+    for i, member in enumerate(zip(codes.tolist(), bits[:, 0].tolist(), bits[:, 1].tolist())):
+        row = row_of.setdefault(member, len(first))
+        if row == len(first):
+            first.append(i)
+        sorted_rows.append(row)
+    member_row = np.empty(order.size, dtype=np.int64)
+    member_row[order] = sorted_rows
+    rows = DistributionEnsemble(codes[first], ens.thetas[order[first]])
+    return rows, np.bincount(member_row).astype(float), member_row
+
+
 def _density_blocks(ens: DistributionEnsemble, x: np.ndarray):
     """Yield ``(cols, dens)`` over consecutive column blocks of ``x``.
 
     ``dens`` holds every member's density at ``x[cols]``, one row per
-    member in ``_by_family`` order: one ``log_pdf_grid`` call per family,
-    exponentiated in place.  Blocks are sized by ``_blocks``, so memory
-    stays bounded whatever the member and point counts.
+    member in ``_by_family`` order: one ``log_pdf_grid`` call per family
+    run, exponentiated in place.  Blocks are sized by ``_blocks``, so memory
+    stays bounded whatever the member and point counts.  The passes of
+    ``propagate``, ``mixture_density`` and the density metric run on an
+    ensemble's ``_distinct_members``, so a repeated member costs nothing.
+
+    Each family run's rows are validated, and their coefficients computed,
+    once per call before the first block (an invalid row raises
+    :class:`InvalidParameterError` there); every block hands them to
+    ``log_pdf_grid`` through ``coef=``, so a block costs only the per-point
+    features, the GEMM and the per-cell work.
 
     Every block is written into one buffer allocated per call, with two
     scratch planes for the term h of Logistic, Loglogistic and Weibull, so
@@ -143,25 +191,30 @@ def _density_blocks(ens: DistributionEnsemble, x: np.ndarray):
     thetas = ens.thetas[order]
     # the first row of each family's run (np.unique would import numpy.ma)
     starts = np.flatnonzero(np.diff(codes, prepend=-1))
-    runs = [(lo, hi, FAMILIES[codes[lo]]) for lo, hi in zip(starts, [*starts[1:], codes.size])]
+    runs = []
+    for lo, hi in zip(starts, [*starts[1:], codes.size]):
+        family = FAMILIES[codes[lo]]
+        runs.append((lo, hi, family, _grid_coefficients(family, thetas[lo:hi])))
     rows = ens.n_members
     blocks = _blocks(x.size, rows)
     planes = np.empty((3, rows * (blocks[0].stop if blocks else 0)))
     for cols in blocks:
         cells = rows * (cols.stop - cols.start)
         dens, h, spare = (plane[:cells].reshape(rows, -1) for plane in planes)
-        for lo, hi, family in runs:
+        for lo, hi, family, coef in runs:
             scratch = (h[lo:hi], spare[lo:hi])
-            log_pdf_grid(family, thetas[lo:hi], x[cols], out=dens[lo:hi], scratch=scratch)
+            log_pdf_grid(
+                family, thetas[lo:hi], x[cols], out=dens[lo:hi], scratch=scratch, coef=coef
+            )
         np.exp(dens, out=dens)
         yield cols, dens
 
 
-def _member_mean(dens: np.ndarray) -> np.ndarray:
-    """Mean over the members (rows) of a density block, 1^T dens / rows, as
-    one GEMV (``_matmul``)."""
-    rows = dens.shape[0]
-    return _matmul(np.ones(rows), dens) / rows
+def _member_mean(dens: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Mean over the members of a density block of distinct rows, c^T dens /
+    n_d with c the rows' multiplicities and n_d their sum, as one GEMV
+    (``_matmul``); with no repeats c is all ones."""
+    return _matmul(counts, dens) / counts.sum()
 
 
 def mixture_density(ens: DistributionEnsemble, x) -> np.ndarray | float:
@@ -170,8 +223,9 @@ def mixture_density(ens: DistributionEnsemble, x) -> np.ndarray | float:
     xa = np.asarray(x, dtype=float)
     flat = np.atleast_1d(xa).ravel()
     dens = np.empty(flat.size)
-    for cols, block in _density_blocks(ens, flat):
-        dens[cols] = _member_mean(block)
+    rows, counts, _ = _distinct_members(ens)
+    for cols, block in _density_blocks(rows, flat):
+        dens[cols] = _member_mean(block, counts)
     return float(dens[0]) if xa.ndim == 0 else dens.reshape(xa.shape)
 
 
@@ -210,16 +264,20 @@ def propagate(
     importance-sampling reweighting with weights w = p_i(x) / q(x); the
     variance is sum w (g - mean)^2 / n, which is never negative.
     ``x_samples`` reuses an existing mixture sample instead of drawing.
+    ``n`` < 1 raises before ``g`` is called.
 
-    Each member density is evaluated once per point: a block of points
-    gives the (members x points) density matrix, q from its column means
-    (one GEMV), and every member's weighted sums from one GEMM with the
-    (points x 4) moment columns, each point's row divided by its q, so the
-    weights p_i / q are never formed.  The sums stay in the blocks'
-    family-sorted row order until the loop ends.  Memory is x, g(x) and one
-    block buffer (``_density_blocks``, whose next block overwrites the last,
-    and the block's moment columns), not n_d x n or n x 4.
+    Each distinct member density (``_distinct_members``) is evaluated once
+    per point, its coefficients once per call: a block of points gives the
+    (distinct members x points) density matrix, q = c^T dens / n_d from the
+    members' multiplicities c (one GEMV), and every distinct member's
+    weighted sums from one GEMM with the (points x 4) moment columns, each
+    point's row divided by its q, so the weights p_i / q are never formed.
+    A repeated member gets its row's sums.  Memory is x, g(x) and one block
+    buffer (``_density_blocks``, whose next block overwrites the last, and
+    the block's moment columns), not n_d x n or n x 4.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if x_samples is None:
         x = sample_mixture(ens, rng, n)
     else:
@@ -235,22 +293,22 @@ def propagate(
 
     # Columns [1, g, (g - r)^2, 1{g < threshold}], r the sample mean of g,
     # built per block in one reused (points x 4) buffer and divided by q in
-    # place: one GEMM per block gives every member's weight sum and the
-    # three weighted sums at once.
+    # place: one GEMM per block gives every row's weight sum and the three
+    # weighted sums at once.
     r = gv.mean()
-    sorted_sums = np.zeros((ens.n_members, 4))
-    buffer = np.empty((_blocks(n, ens.n_members)[0].stop, 4))  # rows of the first, widest block
-    for cols, dens in _density_blocks(ens, x):
+    rows, counts, member_row = _distinct_members(ens)
+    row_sums = np.zeros((rows.n_members, 4))
+    buffer = np.empty((_blocks(n, rows.n_members)[0].stop, 4))  # the first, widest block
+    for cols, dens in _density_blocks(rows, x):
         moments = buffer[: cols.stop - cols.start]
         g_block = gv[cols]
         moments[:, 0] = 1.0
         moments[:, 1] = g_block
         np.square(g_block - r, out=moments[:, 2])
         np.less(g_block, failure_threshold, out=moments[:, 3])
-        moments /= _member_mean(dens)[:, None]
-        sorted_sums += _matmul(dens, moments)
-    sums = np.empty_like(sorted_sums)
-    sums[_by_family(ens)] = sorted_sums
+        moments /= _member_mean(dens, counts)[:, None]
+        row_sums += _matmul(dens, moments)
+    sums = row_sums[member_row]
     sums /= n
     mean_weights, means = sums[:, 0], sums[:, 1]
     # sum w (g - m)^2 / n about each member's own mean m, from the sums about

@@ -642,6 +642,21 @@ class TestLogPdfGrid:
             assert_same_bits(out, log_pdf_grid(family, thetas[rows], points))
 
     @pytest.mark.parametrize("family", FAMILIES)
+    def test_coefficients_keyword_gives_the_bits_of_the_plain_call(self, family, rng):
+        # propagation computes each family run's coefficients once and hands
+        # them to every block's call
+        box = default_uniform_prior(family)
+        thetas = rng.uniform(box.lo, box.hi, size=(40, 2))
+        x = edge_and_random_points(rng)
+        want = log_pdf_grid(family, thetas, x)
+        coef = distributions._coefficients(family, thetas)
+        assert_same_bits(log_pdf_grid(family, thetas, x, coef=coef), want)
+        out, h, spare = np.full((3, *want.shape), np.nan)
+        got = log_pdf_grid(family, thetas, x, out=out, scratch=(h, spare), coef=coef)
+        assert got is out
+        assert_same_bits(out, want)
+
+    @pytest.mark.parametrize("family", FAMILIES)
     def test_likelihood_row_depends_only_on_its_row(self, family, rng):
         # At n = 10^4 a 1000-row call spans many row blocks of the data
         # term, so a row's value must not depend on which block it lands in

@@ -33,8 +33,8 @@ class TestAvgMeanSquareDistance:
         ens = normal_ensemble([34.782] * 5, sigma=4.0)
         truth = (ModelFamily.NORMAL, np.array([34.782, 4.0]))
         assert avg_mean_square_distance(ens, truth) == 0.0
-        # Lognormal members spread over two column blocks: the truth density
-        # (one row over every point) equals each member's bit for bit
+        # 40 copies of one Lognormal member, one row of the density pass:
+        # the truth density (one row over every point) equals it bit for bit
         theta = params_from_moments(ModelFamily.LOGNORMAL, 34.782, 0.116)
         codes = np.full(40, FAMILIES.index(ModelFamily.LOGNORMAL))
         ens = DistributionEnsemble(codes, np.tile(theta, (40, 1)))
@@ -62,14 +62,19 @@ class TestAvgMeanSquareDistance:
         b = avg_mean_square_distance(normal_ensemble(mus + mus, 4.0), truth, grid)
         assert a == pytest.approx(b, rel=1e-12)
 
-    def check_against_per_member_trapezoid(self, x, rng):
+    def check_against_per_member_trapezoid(self, x, rng, repeats=1):
         # 20 members per family, shuffled, around the study point: more
         # members than one density block of the whole grid holds, so the
-        # sum runs over several column blocks and a tail
+        # sum runs over several column blocks and a tail.  With repeats,
+        # the k-th member is there 1 + k % repeats times.
         codes = rng.permutation(np.repeat(np.arange(len(FAMILIES)), 20))
         thetas = np.array(
             [params_from_moments(FAMILIES[c], 34.782, 0.116) for c in codes]
         ) * rng.uniform(0.9, 1.1, size=(codes.size, 2))
+        if repeats > 1:
+            copies = np.repeat(np.arange(codes.size), 1 + np.arange(codes.size) % repeats)
+            copies = rng.permutation(copies)
+            codes, thetas = codes[copies], thetas[copies]
         ens = DistributionEnsemble(codes, thetas)
         assert ens.n_members > distributions._BLOCK_CELLS // x.size
         truth_theta = params_from_moments(ModelFamily.LOGNORMAL, 34.782, 0.116)
@@ -94,6 +99,11 @@ class TestAvgMeanSquareDistance:
 
     def test_member_square_distance_on_nonuniform_grid(self, rng):
         self.check_against_per_member_trapezoid(np.sort(rng.uniform(15.0, 65.0, 2001)), rng)
+
+    def test_member_square_distance_weights_repeated_members(self, rng):
+        # a repeated member is one row of the density pass, its integrals
+        # weighted by its multiplicity
+        self.check_against_per_member_trapezoid(default_sigma0_grid(), rng, repeats=3)
 
     def test_nonuniform_grid_is_refined_at_its_midpoints(self):
         # a grid dense only where the densities live: the check refines this

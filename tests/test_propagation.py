@@ -10,6 +10,7 @@ from mmuq import distributions, propagation
 from mmuq.buckling import MEAN_PLATE, buckling_response, pf_semianalytic
 from mmuq.distributions import (
     FAMILIES,
+    InvalidParameterError,
     ModelFamily,
     log_pdf_grid,
     params_from_moments,
@@ -18,6 +19,7 @@ from mmuq.distributions import (
 )
 from mmuq.evidence import ModelPosteriorProbs
 from mmuq.mcmc import PosteriorChain
+from mmuq.metrics import avg_mean_square_distance
 from mmuq.propagation import (
     DistributionEnsemble,
     draw_ensemble,
@@ -487,6 +489,17 @@ class TestPropagate:
         with pytest.raises(ValueError, match=rf"shape \({shape[0]},.*n=20"):
             propagate(ens, lambda v: v, 20, None, x_samples=x)
 
+    @pytest.mark.parametrize("x_samples", [None, np.empty(0)], ids=["drawn", "given"])
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_n_below_one_is_rejected_before_g(self, n, x_samples):
+        ens = single_member_ensemble(ModelFamily.NORMAL, (1.0, 1.0))
+
+        def g(v):
+            raise AssertionError("g was called")
+
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            propagate(ens, g, n, np.random.default_rng(0), x_samples=x_samples)
+
 
 # Reference versions of the density pass, the mixture sampler and the
 # propagate sums as they were before their blocks ran in reused buffers:
@@ -621,3 +634,147 @@ class TestBlocksInReusedBuffers:
         finally:
             tracemalloc.stop()
         assert peak < 5 * 2**20, peak
+
+
+def count_calls(monkeypatch, module, name, log):
+    """Replace ``module.name`` by a wrapper that appends each call's family
+    and row count to ``log``."""
+    fn = getattr(module, name)
+
+    def counting(family, thetas, *args, **kwargs):
+        log.append((family.value, len(thetas)))
+        return fn(family, thetas, *args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+
+
+def density_passes(ens, x):
+    """The three density passes over ``ens`` at the points ``x`` (the
+    metric on its default grid), each with the (family, rows) of the
+    one-row truth density it evaluates besides the ensemble."""
+    truth = (ModelFamily.LOGNORMAL, np.array(STUDY_THETAS[ModelFamily.LOGNORMAL]))
+    return {
+        "propagate": (lambda: propagate(ens, lambda v: v, x.size, None, x_samples=x), []),
+        "mixture_density": (lambda: mixture_density(ens, x), []),
+        "avg_mean_square_distance": (
+            lambda: avg_mean_square_distance(ens, truth),
+            [(ModelFamily.LOGNORMAL.value, 1)],
+        ),
+    }
+
+
+class TestPerMemberWorkOncePerPass:
+    """Each family run's rows are validated and their coefficients computed
+    once per density pass, before the first block, however many blocks the
+    pass takes."""
+
+    def test_rows_checked_and_coefficients_computed_once_per_family_run(self, monkeypatch):
+        monkeypatch.setattr(distributions, "_BLOCK_CELLS", 70 * 64)  # 64-point blocks
+        ens = seven_family_ensemble()
+        x = sample_mixture(ens, np.random.default_rng(27), 1041)
+        runs = [(f.value, int(c)) for f, c in zip(FAMILIES, np.bincount(ens.family_codes))]
+        checked, coefficients, grids = [], [], []
+        count_calls(monkeypatch, distributions, "_valid_rows", checked)
+        count_calls(monkeypatch, distributions, "_coefficients", coefficients)
+        count_calls(monkeypatch, propagation, "log_pdf_grid", grids)
+        for name, (run, truth) in density_passes(ens, x).items():
+            for log in (checked, coefficients, grids):
+                log.clear()
+            run()
+            blocks = grids.count(runs[-1])
+            assert blocks >= 10 and len(grids) == 7 * blocks, name
+            assert sorted(checked) == sorted(runs + truth), name
+            assert sorted(coefficients) == sorted(runs + truth), name
+
+    @pytest.mark.parametrize("name", ["propagate", "mixture_density", "avg_mean_square_distance"])
+    def test_invalid_member_raises_before_any_block(self, name, monkeypatch):
+        ens = seven_family_ensemble()
+        thetas = ens.thetas.copy()
+        # a Weibull member with a negative scale: its run is the last
+        weibull = np.flatnonzero(ens.family_codes == FAMILIES.index(ModelFamily.WEIBULL))
+        thetas[weibull[-1], 1] = -1.0
+        bad = DistributionEnsemble(ens.family_codes, thetas)
+        grids = []
+        count_calls(monkeypatch, propagation, "log_pdf_grid", grids)
+        run, _ = density_passes(bad, np.linspace(20.0, 50.0, 301))[name]
+        with pytest.raises(InvalidParameterError, match="Weibull"):
+            run()
+        assert grids == []
+
+
+def repeated_mixed_ensemble(seed=28):
+    """``mixed_ensemble``'s 14 distinct members, the j-th repeated j % 4 + 1
+    times, shuffled; also each member's index into ``mixed_ensemble``."""
+    base = mixed_ensemble()
+    source = np.repeat(np.arange(base.n_members), np.arange(base.n_members) % 4 + 1)
+    source = np.random.default_rng(seed).permutation(source)
+    return DistributionEnsemble(base.family_codes[source], base.thetas[source]), source
+
+
+class TestDistinctMembers:
+    """Members with the same family and parameter bits are evaluated once,
+    as one row weighted by its multiplicity."""
+
+    def test_rows_keep_the_by_family_order_of_first_occurrences(self):
+        ens, source = repeated_mixed_ensemble()
+        rows, counts, member_row = propagation._distinct_members(ens)
+        order = propagation._by_family(ens)
+        first = list(dict.fromkeys(source[order]))
+        base = mixed_ensemble()
+        assert rows.family_codes.tobytes() == base.family_codes[first].tobytes()
+        assert rows.thetas.tobytes() == base.thetas[first].tobytes()
+        assert counts.dtype == float
+        np.testing.assert_array_equal(counts, np.bincount(source)[first])
+        assert rows.family_codes[member_row].tobytes() == ens.family_codes.tobytes()
+        assert rows.thetas[member_row].tobytes() == ens.thetas.tobytes()
+
+    def test_no_repeats_is_the_by_family_order(self):
+        ens = seven_family_ensemble()
+        rows, counts, member_row = propagation._distinct_members(ens)
+        order = propagation._by_family(ens)
+        assert rows.family_codes.tobytes() == ens.family_codes[order].tobytes()
+        assert rows.thetas.tobytes() == ens.thetas[order].tobytes()
+        assert np.all(counts == 1.0)
+        np.testing.assert_array_equal(order[member_row], np.arange(ens.n_members))
+
+    def test_members_differing_in_one_parameter_bit_stay_apart(self):
+        theta = np.array([1.0, 1.0])
+        near = np.array([1.0, np.nextafter(1.0, 2.0)])
+        code = FAMILIES.index(ModelFamily.NORMAL)
+        ens = DistributionEnsemble(np.full(4, code), np.array([theta, near, theta, near]))
+        rows, counts, member_row = propagation._distinct_members(ens)
+        assert rows.thetas.tobytes() == np.array([theta, near]).tobytes()
+        np.testing.assert_array_equal(counts, [2.0, 2.0])
+        np.testing.assert_array_equal(member_row, [0, 1, 0, 1])
+
+    def test_duplicates_share_their_rows_sums(self, monkeypatch):
+        monkeypatch.setattr(distributions, "_BLOCK_CELLS", 14 * 64)
+        ens, source = repeated_mixed_ensemble()
+        n = 1001
+        x = sample_mixture(ens, np.random.default_rng(29), n)
+        cells = []
+
+        def counting(family, thetas, x, **buffers):
+            out = log_pdf_grid(family, thetas, x, **buffers)
+            cells.append(out.size)
+            return out
+
+        monkeypatch.setattr(propagation, "log_pdf_grid", counting)
+
+        def g(v):
+            return v * v + 1.0
+
+        res = propagate(ens, g, n, None, failure_threshold=1.5, x_samples=x)
+        assert sum(cells) == 14 * n
+        for name in ("means", "variances", "pfs", "mean_weights"):
+            stat = getattr(res, name)
+            for j in range(14):
+                same = stat[source == j]
+                assert same.size == j % 4 + 1
+                assert same.tobytes() == np.repeat(same[:1], same.size).tobytes(), name
+        ref = dense_two_pass(ens, x, g, 1.5)
+        for name in ("means", "pfs", "mean_weights"):
+            np.testing.assert_allclose(getattr(res, name), ref[name], rtol=1e-12, err_msg=name)
+        np.testing.assert_allclose(res.variances, ref["variances"], rtol=0.0, atol=1e-12)
+        members = np.array([pdf(fam, theta, x) for fam, theta in ens])
+        np.testing.assert_allclose(mixture_density(ens, x), members.mean(axis=0), rtol=1e-12)
