@@ -17,6 +17,7 @@ import numpy as np
 
 from .distributions import (
     _blocks,
+    _brentq,
     Dataset,
     ModelFamily,
     cdf as dist_cdf,
@@ -163,8 +164,8 @@ def pf_semianalytic(
     family: ModelFamily, theta, threshold: float, base: PlateConfig = MEAN_PLATE
 ) -> float:
     """Failure probability P(psi < threshold) for one yield-strength model,
-    by root finding on psi(sigma0) (bisection to 1e-10 ksi) and one CDF
-    evaluation.
+    by one CDF evaluation at the root sigma* of psi(sigma0) = threshold,
+    which Brent's method (``_brentq``) solves to a few ulps.
 
     psi must cross the threshold exactly once, downward, on the yield range
     (psi has a shallow turnover just above sigma0 = 15 ksi, so strictness is
@@ -195,11 +196,5 @@ def pf_semianalytic(
             f"on [{lo}, {hi}]); configuration outside the study envelope"
         )
     lo, hi = grid[down[0]], grid[down[0] + 1]
-    while hi - lo > 1e-10:
-        mid = 0.5 * (lo + hi)
-        if g(mid) > threshold:
-            lo = mid
-        else:
-            hi = mid
-    sigma_star = 0.5 * (lo + hi)
+    sigma_star = _brentq(lambda s: g(s) - threshold, lo, hi, xtol=0.0, rtol=1e-15)
     return float(1.0 - dist_cdf(family, theta, sigma_star))

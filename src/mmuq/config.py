@@ -89,6 +89,13 @@ class ExperimentConfig:
     kde_max_components: int = 5000
 
     def __post_init__(self) -> None:
+        # out_root is output_dir / name: the name must be one directory
+        if not isinstance(self.name, str) or self.name in ("", ".", "..") or "/" in self.name:
+            raise ValueError(
+                f"name must be a non-empty string without '/', not '.' or '..', got {self.name!r}"
+            )
+        if not isinstance(self.output_dir, str):
+            raise ValueError(f"output_dir must be a string, got {self.output_dir!r}")
         for f in fields(self):
             if f.type == "int":  # a string: annotations are postponed
                 object.__setattr__(self, f.name, _as_int(f.name, getattr(self, f.name)))

@@ -17,6 +17,7 @@ import numpy as np
 
 from .distributions import (
     _blocks,
+    _LOG_2PI,
     _matmul,
     _param_rows,
     Dataset,
@@ -42,7 +43,6 @@ __all__ = [
     "historical_dataset",
 ]
 
-_LOG_2PI = np.log(2.0 * np.pi)
 
 # Yield-strength envelope (ksi) that the noninformative boxes must cover.
 ENVELOPE_MEAN = (20.0, 60.0)

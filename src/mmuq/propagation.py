@@ -21,6 +21,7 @@ from typing import Callable
 
 import numpy as np
 
+from .buckling import FAILURE_THRESHOLD
 from .distributions import (
     _blocks,
     _grid_coefficients,
@@ -254,7 +255,7 @@ def propagate(
     g: Callable[[np.ndarray], np.ndarray],
     n: int,
     rng: np.random.Generator,
-    failure_threshold: float = 0.6,
+    failure_threshold: float = FAILURE_THRESHOLD,
     x_samples: np.ndarray | None = None,
 ) -> PropagationResult:
     """Propagate every ensemble member through ``g`` with one sample set.

@@ -3,6 +3,7 @@ oracle."""
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from mmuq import buckling
 from mmuq.buckling import (
@@ -18,6 +19,7 @@ from mmuq.buckling import (
 from mmuq.distributions import (
     FAMILIES,
     ModelFamily,
+    cdf,
     log_pdf,
     moments,
     params_from_moments,
@@ -157,6 +159,32 @@ class TestPfSemianalytic:
         theta = np.array([34.782, 4.03])
         pf = pf_semianalytic(ModelFamily.NORMAL, theta, 0.6, MEAN_PLATE)
         assert 0.0 < pf < 1.0
+
+
+    @pytest.mark.parametrize(
+        "threshold, plate",
+        [(0.45, MEAN_PLATE), (0.6, MEAN_PLATE), (0.45, PlateConfig(b=30.0, t=0.5)),
+         (0.6, PlateConfig(b=30.0, t=0.5)), (0.7, PlateConfig(b=30.0, t=0.5))],
+        ids=["mean-0.45", "mean-0.6", "thin-0.45", "thin-0.6", "thin-0.7"],
+    )
+    def test_root_to_machine_precision(self, threshold, plate, monkeypatch):
+        # sigma* is where the oracle evaluates the CDF: the root to a few
+        # ulps, not to a fixed bracket width in ksi
+        seen = []
+
+        def spy(family, theta, x):
+            seen.append(x)
+            return cdf(family, theta, x)
+
+        monkeypatch.setattr(buckling, "dist_cdf", spy)
+        pf_semianalytic(TRUE_MODEL.family, TRUE_MODEL.theta, threshold, plate)
+        g = buckling_response(plate)
+        root = brentq(
+            lambda s: g(s) - threshold, 15.0, 1e3,
+            xtol=1e-300, rtol=4 * np.finfo(float).eps, maxiter=500,
+        )
+        [sigma_star] = seen
+        assert sigma_star == pytest.approx(root, rel=1e-13, abs=0.0)
 
 
 class TestPlateConfig:

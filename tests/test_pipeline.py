@@ -873,6 +873,34 @@ class TestConfig:
             load_config(path)
 
     @pytest.mark.parametrize(
+        "bad, match",
+        [
+            ({"name": 5}, "name must be a non-empty string"),
+            ({"name": None}, "name must be a non-empty string"),
+            ({"name": ""}, "name must be a non-empty string"),
+            ({"name": "."}, "name must be a non-empty string"),
+            ({"name": ".."}, "name must be a non-empty string"),
+            ({"name": "a/b"}, "name must be a non-empty string"),
+            ({"name": "/abs"}, "name must be a non-empty string"),
+            ({"output_dir": 5}, "output_dir must be a string"),
+            ({"output_dir": None}, "output_dir must be a string"),
+            ({"output_dir": ["out"]}, "output_dir must be a string"),
+        ],
+        ids=["name-number", "name-null", "name-empty", "name-dot", "name-dotdot",
+             "name-nested", "name-absolute", "output_dir-number", "output_dir-null",
+             "output_dir-list"],
+    )
+    def test_bad_name_or_output_dir_rejected(self, bad, match, tmp_path):
+        # a number or null used to load and then fail at Path(output_dir) / name
+        # with a TypeError; a name with a '/' or of '..' left the output root
+        with pytest.raises(ValueError, match=match):
+            ExperimentConfig(**bad)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(bad))
+        with pytest.raises(ValueError, match=match):
+            load_config(path)
+
+    @pytest.mark.parametrize(
         "plate, match",
         [
             ({"b": float("nan")}, "plate b must be a finite positive number"),
