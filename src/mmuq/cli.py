@@ -4,9 +4,10 @@ Subcommands: ``quantify`` (model probabilities, chain summaries, density
 metrics), ``propagate`` (response statistics and output metrics) and
 ``gen-data`` (write the synthetic and historical datasets).  Flags override
 config-file values.  Exit code 0 means every grid cell succeeded; 2 means
-some cells failed (see the log and the run manifest) or the config file
-could not be read or was rejected, with one ``mmuq: <reason>`` line on
-stderr and nothing written.
+some cells failed (see the log and the run manifest), the config file could
+not be read or was rejected (nothing is written), or a stage could not
+write under the output root (an ``OSError``, such as an ``--out`` that
+names a file); the last two print one ``mmuq: <reason>`` line on stderr.
 """
 
 from __future__ import annotations
@@ -69,11 +70,15 @@ def main(argv: list[str] | None = None) -> int:
         print(f"mmuq: {err}", file=sys.stderr)
         return 2
     pipeline = StudyPipeline(cfg)
-    if args.command == "gen-data":
-        for path in pipeline.gen_data():
-            print(path)
-        return 0
-    report = pipeline.run_quantify() if args.command == "quantify" else pipeline.run_propagate()
+    try:
+        if args.command == "gen-data":
+            for path in pipeline.gen_data():
+                print(path)
+            return 0
+        report = pipeline.run_quantify() if args.command == "quantify" else pipeline.run_propagate()
+    except OSError as err:  # the output root cannot be written
+        print(f"mmuq: {err}", file=sys.stderr)
+        return 2
     for cell in report.cells:
         status = "ok" if cell.ok else f"FAILED: {cell.detail}"
         print(f"{report.stage} n={cell.size} {cell.param_prior}/{cell.model_prior}: {status}")

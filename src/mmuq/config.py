@@ -90,12 +90,14 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         # out_root is output_dir / name: the name must be one directory
-        if not isinstance(self.name, str) or self.name in ("", ".", "..") or "/" in self.name:
+        # (and a path with a NUL byte cannot be made)
+        name = self.name
+        if not isinstance(name, str) or name in ("", ".", "..") or "/" in name or "\0" in name:
             raise ValueError(
-                f"name must be a non-empty string without '/', not '.' or '..', got {self.name!r}"
+                f"name must be a non-empty string without '/' or NUL, not '.' or '..', got {name!r}"
             )
-        if not isinstance(self.output_dir, str):
-            raise ValueError(f"output_dir must be a string, got {self.output_dir!r}")
+        if not isinstance(self.output_dir, str) or "\0" in self.output_dir:
+            raise ValueError(f"output_dir must be a string without NUL, got {self.output_dir!r}")
         for f in fields(self):
             if f.type == "int":  # a string: annotations are postponed
                 object.__setattr__(self, f.name, _as_int(f.name, getattr(self, f.name)))

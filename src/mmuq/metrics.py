@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import ModelFamily, _matmul, log_pdf_grid
-from .propagation import DistributionEnsemble, _density_blocks, _distinct_members
+from .propagation import DistributionEnsemble, _density_blocks, _distinct_members, _member_mean
 
 __all__ = [
     "EmpiricalCdf",
@@ -79,18 +79,16 @@ def _trapezoid_weights(grid: np.ndarray) -> np.ndarray:
 def _member_square_distance(
     ens: DistributionEnsemble, truth_density: np.ndarray, x: np.ndarray, weights: np.ndarray
 ) -> np.ndarray:
-    """Sum over members of the integral of (p - truth)^2 under each column
+    """Mean over members of the integral of (p - truth)^2 under each column
     of the (points x k) quadrature ``weights`` on ``x``: one evaluation of
-    every distinct member density, one matrix product per density block,
-    each row's integrals weighted by its multiplicity."""
+    every distinct member density and one matrix product per density block,
+    whose per-row integrals ``_member_mean`` averages as it averages q."""
     rows, counts, _ = _distinct_members(ens)
     total = np.zeros(weights.shape[1])
     for cols, dens in _density_blocks(rows, x):
         dens -= truth_density[cols]
         dens *= dens
-        integrals = _matmul(dens, weights[cols])
-        integrals *= counts[:, None]
-        total += np.sum(integrals, axis=0)
+        total += _member_mean(_matmul(dens, weights[cols]), counts)
     return total
 
 
@@ -125,7 +123,7 @@ def avg_mean_square_distance(
     weights[:, 1] = _trapezoid_weights(x)
     fam, theta = truth
     p_true = np.exp(log_pdf_grid(fam, np.asarray(theta)[None, :], x)[0])
-    delta, delta_fine = 0.5 * _member_square_distance(ens, p_true, x, weights) / ens.n_members
+    delta, delta_fine = 0.5 * _member_square_distance(ens, p_true, x, weights)
     scale = max(abs(delta_fine), abs(delta))
     if scale > 0.0 and abs(delta_fine - delta) > 0.01 * scale:
         raise CoarseGridError(

@@ -269,6 +269,8 @@ class StudyPipeline:
     # -- panels and processes ------------------------------------------------
 
     def _run_panels(self, stage: str, t0: float) -> RunReport:
+        # an output root that cannot be made fails here, before any panel runs
+        self.config.out_root.mkdir(parents=True, exist_ok=True)
         panels = list(dict.fromkeys((size, pp) for size, pp, _ in self.config.grid()))
         processes = self._process_count(len(panels))
         self._build_informative_priors()

@@ -10,8 +10,10 @@ in a single pass over the physics function.
 Every density pass (``propagate``, ``mixture_density`` and the density
 metric) evaluates each distinct member once: members that repeat a chain
 row collapse into one row weighted by its multiplicity
-(``_distinct_members``), and each family run's coefficients are computed
-once per pass, not once per block of points (``_density_blocks``).
+(``_distinct_members``), each family's coefficients are computed once per
+pass, not once per block of points (``_density_blocks``), and one function
+(``_member_mean``) averages a block's rows over the members: q, the mixture
+density and the density metric's integrals.
 """
 
 from __future__ import annotations
@@ -124,12 +126,6 @@ def draw_ensemble(
     return DistributionEnsemble(codes, thetas)
 
 
-def _by_family(ens: DistributionEnsemble) -> np.ndarray:
-    """Member indices sorted stably by family: the row order of every
-    ``_density_blocks`` block."""
-    return np.argsort(ens.family_codes, kind="stable")
-
-
 def _distinct_members(
     ens: DistributionEnsemble,
 ) -> tuple[DistributionEnsemble, np.ndarray, np.ndarray]:
@@ -140,11 +136,11 @@ def _distinct_members(
     Members are the same when their family and the bits of both parameters
     agree, so every member's density is its row's, bit for bit.  Rejected
     chain moves repeat rows and ``draw_ensemble`` draws with replacement, so
-    a density pass over ``rows`` skips the repeats.  The rows keep the
-    ``_by_family`` order of their first occurrences, so an ensemble with no
-    repeats is its own ``rows`` in that order, and ``_by_family(rows)`` is the
-    identity."""
-    order = _by_family(ens)
+    a density pass over ``rows`` skips the repeats.  The rows are the first
+    occurrences sorted stably by family, so ``_density_blocks`` runs one
+    ``log_pdf_grid`` call per family, and an ensemble with no repeats is its
+    own ``rows`` in that order."""
+    order = np.argsort(ens.family_codes, kind="stable")
     codes = ens.family_codes[order]
     bits = ens.thetas[order].view(np.int64)
     # a dict over the members, not a sort: np.unique would import numpy.ma,
@@ -167,13 +163,15 @@ def _density_blocks(ens: DistributionEnsemble, x: np.ndarray):
     """Yield ``(cols, dens)`` over consecutive column blocks of ``x``.
 
     ``dens`` holds every member's density at ``x[cols]``, one row per
-    member in ``_by_family`` order: one ``log_pdf_grid`` call per family
-    run, exponentiated in place.  Blocks are sized by ``_blocks``, so memory
-    stays bounded whatever the member and point counts.  The passes of
-    ``propagate``, ``mixture_density`` and the density metric run on an
-    ensemble's ``_distinct_members``, so a repeated member costs nothing.
+    member in the ensemble's own order: one ``log_pdf_grid`` call per run of
+    consecutive members of one family, exponentiated in place.  Blocks are
+    sized by ``_blocks``, so memory stays bounded whatever the member and
+    point counts.  The passes of ``propagate``, ``mixture_density`` and the
+    density metric run on an ensemble's ``_distinct_members``, whose rows
+    come grouped by family, so a repeated member costs nothing and each
+    family is one run.
 
-    Each family run's rows are validated, and their coefficients computed,
+    Each run's rows are validated, and their coefficients computed,
     once per call before the first block (an invalid row raises
     :class:`InvalidParameterError` there); every block hands them to
     ``log_pdf_grid`` through ``coef=``, so a block costs only the per-point
@@ -187,10 +185,8 @@ def _density_blocks(ens: DistributionEnsemble, x: np.ndarray):
     wider array, so the GEMM of ``log_pdf_grid`` runs on the same BLAS
     routine as on a fresh array and gives the same bits.
     """
-    order = _by_family(ens)
-    codes = ens.family_codes[order]
-    thetas = ens.thetas[order]
-    # the first row of each family's run (np.unique would import numpy.ma)
+    codes, thetas = ens.family_codes, ens.thetas
+    # the first row of each run (np.unique would import numpy.ma)
     starts = np.flatnonzero(np.diff(codes, prepend=-1))
     runs = []
     for lo, hi in zip(starts, [*starts[1:], codes.size]):

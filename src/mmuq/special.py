@@ -6,21 +6,22 @@ Programs for Mathematical Functions*, 1989) with their coefficient tables,
 as ``scipy.special`` runs them; ``expit`` is 1 / (1 + exp(-x)) and
 ``logsumexp`` follows scipy's ``_logsumexp`` on a 1-D array.  Each does the
 same floating-point operations in the same order, so on a scalar, where the
-logs and exponentials are C's libm (``math``), it returns scipy's bits.  On
-an array they are numpy's ``log`` and ``exp``, which with numpy's AVX-512
-kernels round differently from libm by one ulp on about 1 argument in 10^4
-(log) and 1 in 20 (exp), so a result may differ from scipy's by about an
-ulp of its largest term.  ``gammainc`` (power series or Lentz continued
-fraction) and ``log_ndtr`` (the log of ``ndtr``, with an asymptotic series
-far in the lower tail) are not ports but hold a stated accuracy; only the
-Gamma and InverseGaussian ``cdf`` call them.
+logs and exponentials are C's libm (``math``), it returns scipy's bits.
+``gammaln`` maps that scalar port over an array, so it returns scipy's bits
+on arrays too.  ``ndtr`` and ``expit`` run on an array with numpy's ``log``
+and ``exp``, which with numpy's AVX-512 kernels round differently from libm
+by one ulp on about 1 argument in 10^4 (log) and 1 in 20 (exp), so a result
+may differ from scipy's by about an ulp of its largest term.  ``gammainc``
+(power series or Lentz continued fraction) and ``log_ndtr`` (the log of
+``ndtr``, with an asymptotic series far in the lower tail) are not ports but
+hold a stated accuracy; only the Gamma and InverseGaussian ``cdf`` call
+them.
 
-``gammaln`` is on the hot path: every Gamma parameter row of the
-likelihood, the grid and propagation's density blocks passes through it.
-On an array it runs Stirling's formula on every element and Cephes'
-recurrence on those in (0, 13), each a fixed number of numpy calls, so its
-cost does not depend on the mix of shapes, and an element's result depends
-only on that element.
+``gammaln`` reaches every Gamma parameter row of the likelihood, the grid
+and propagation's density passes.  Most calls are a few rows (an MCMC
+half-move, a Nelder-Mead step), where mapping the scalar port costs less
+than a vectorized copy of it would; the large ones (a Gamma prior-draw
+evidence, a density pass) come once per stage, at about 0.7 us an element.
 """
 
 from __future__ import annotations
@@ -190,8 +191,7 @@ def _elementwise(kernel, x):
 
 
 def _lgam(x: float) -> float:
-    """Cephes ``lgam`` on one float, with libm's log: scipy's bits, and the
-    reference the array path below reproduces."""
+    """Cephes ``lgam`` on one float, with libm's log: scipy's bits."""
     if not x > 0.0:
         return x if x != x else _INF
     if x < 13.0:
@@ -220,90 +220,9 @@ def _lgam(x: float) -> float:
     return q + _polevl(p, _LGAM_A3 if x >= 1000.0 else _LGAM_A) / x
 
 
-# the factors x - 1, ..., x - 10 of lgam's downward recurrence from [3, 13),
-# and the least x that takes each
-_LGAM_STEPS = np.arange(1.0, 11.0)[:, None]
-_LGAM_STEP_FROM = _LGAM_STEPS + 2.0
-# B and C (leading 1) as one Horner table: a leading 0 leaves B's bits
-_LGAM_BC = np.array([(0.0,) + _LGAM_B, (1.0,) + _LGAM_C]).T[:, :, None]
-
-
-def _lgam_stirling(x: np.ndarray, small: bool, large: bool) -> np.ndarray:
-    """lgam from 13 up: (x - 1/2) ln x - x + ln(2 pi) / 2 plus the series A
-    in 1 / x^2 over x (``small``: some x below 1000) or its three leading
-    terms (``large``: some x from 1000 up).  Above 1e8, where Cephes drops
-    the series, it is below half an ulp of the rest and adds nothing."""
-    q = x - 0.5
-    q *= np.log(x)
-    q -= x
-    q += _LOG_SQRT_2PI
-    p = x * x
-    np.divide(1.0, p, out=p)
-    if small:
-        series = _polevl(p, _LGAM_A)
-    if large:
-        three = _polevl(p, _LGAM_A3)
-        if small:
-            np.putmask(series, x >= 1000.0, three)
-        else:
-            series = three
-    series /= x
-    q += series
-    return q
-
-
-def _lgam_recurrence(x: np.ndarray) -> np.ndarray:
-    """lgam on (0, 13): x recurs into [2, 3), u = xx + 2, with z the product
-    (x - 1) ... (x - m) of the downward steps (left to right) or the
-    quotient 1 / x / (x + 1) of the upward ones, in the loops' own
-    arithmetic, then log z + xx B(xx) / C(xx) (log z alone where u is 2)."""
-    fl = np.floor(x)
-    factors = x - _LGAM_STEPS
-    np.putmask(factors, _LGAM_STEP_FROM > fl, 1.0)
-    z = np.multiply.reduce(factors, axis=0)
-    xx = x - fl
-    up = x < 2.0
-    if np.count_nonzero(up):
-        t = x[up]
-        zt = 1.0 / t
-        u = t + 1.0
-        twice = u < 2.0
-        np.divide(zt, u, out=zt, where=twice)
-        xt = np.where(twice, t, t - 1.0)
-        xt[np.where(twice, t + 2.0, u) == 2.0] = 0.0
-        z[up] = zt
-        xx[up] = xt
-    bc = _LGAM_BC[0] * xx
-    bc += _LGAM_BC[1]
-    for k in range(2, _LGAM_BC.shape[0]):
-        bc *= xx
-        bc += _LGAM_BC[k]
-    out = np.log(z)
-    xx *= bc[0]
-    xx /= bc[1]
-    out += xx
-    return out
-
-
-def _gammaln(x: np.ndarray) -> np.ndarray:
-    shape = x.shape
-    x = x.ravel()
-    if x.size == 0:
-        return x.reshape(shape)
-    with np.errstate(all="ignore"):
-        lo, hi = np.fmin.reduce(x), np.fmax.reduce(x)  # NaN only if all are
-        out = _lgam_stirling(x, small=not lo >= 1000.0, large=not hi < 1000.0)
-        if lo < 13.0:
-            below = (x > 0.0) & (x < 13.0)
-            if np.count_nonzero(below):
-                out[below] = _lgam_recurrence(x[below])
-        if lo <= 0.0 or hi > _MAXLGM:
-            np.putmask(out, (x <= 0.0) | (x > _MAXLGM), _INF)
-    return out.reshape(shape)
-
-
 def gammaln(x):
-    """log Gamma(x) (Cephes ``lgam``) for x > 0, on a scalar or an array.
+    """log Gamma(x) (Cephes ``lgam``) for x > 0, on a scalar or, element by
+    element, an array: scipy's bits either way.
 
     Below 13 the argument recurs into [2, 3), where a rational function
     applies; from 13 up Stirling's formula with the series A, from 1000 up
@@ -314,7 +233,8 @@ def gammaln(x):
     """
     if np.ndim(x) == 0:
         return _lgam(float(x))
-    return _gammaln(np.asarray(x, dtype=float))
+    x = np.asarray(x, dtype=float)
+    return np.fromiter(map(_lgam, x.ravel().tolist()), float, count=x.size).reshape(x.shape)
 
 
 def gamma(x: float) -> float:

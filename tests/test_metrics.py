@@ -90,7 +90,7 @@ class TestAvgMeanSquareDistance:
             for s in (slice(None), sub)
         ]
         got = _member_square_distance(ens, truth, x, weights)
-        np.testing.assert_allclose(got, want, rtol=1e-12)
+        np.testing.assert_allclose(got, np.divide(want, ens.n_members), rtol=1e-12)
         delta = avg_mean_square_distance(ens, (ModelFamily.LOGNORMAL, truth_theta), x)
         assert delta == pytest.approx(0.5 * want[0] / ens.n_members, rel=1e-12)
 
@@ -102,7 +102,7 @@ class TestAvgMeanSquareDistance:
 
     def test_member_square_distance_weights_repeated_members(self, rng):
         # a repeated member is one row of the density pass, its integrals
-        # weighted by its multiplicity
+        # weighted by its multiplicity in the mean
         self.check_against_per_member_trapezoid(default_sigma0_grid(), rng, repeats=3)
 
     def test_nonuniform_grid_is_refined_at_its_midpoints(self):

@@ -661,6 +661,33 @@ class TestCli:
             assert message in run.stderr
             assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["quantify", "propagate", "gen-data"])
+    def test_out_naming_a_file_exits_2_with_one_line(self, command, tmp_path, capsys):
+        # it used to exit 1 with a NotADirectoryError traceback; propagate
+        # only after running every cell
+        config = self.write_config(tmp_path)
+        out = tmp_path / "a_file"
+        out.write_text("keep")
+        self.assert_rejected(capsys, [command, "--config", str(config), "--out", str(out)],
+                             "Not a directory")
+        assert out.read_text() == "keep"
+
+    def test_nul_in_name_exits_2_without_traceback(self, tmp_path):
+        # the installed script's path; the name used to load and then fail
+        # with "ValueError: embedded null byte" at the first mkdir
+        config = self.write_config(tmp_path)
+        config.write_text(json.dumps({**json.loads(config.read_text()), "name": "a\0b"}))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        run = subprocess.run(
+            [sys.executable, "-m", "mmuq.cli", "quantify", "--config", str(config)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert run.returncode == 2, run.stderr
+        assert "Traceback" not in run.stderr
+        assert run.stderr.startswith("mmuq: ") and run.stderr.count("\n") == 1
+        assert "name must be a non-empty string without '/' or NUL" in run.stderr
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "bad, match",
         [
@@ -882,17 +909,20 @@ class TestConfig:
             ({"name": ".."}, "name must be a non-empty string"),
             ({"name": "a/b"}, "name must be a non-empty string"),
             ({"name": "/abs"}, "name must be a non-empty string"),
+            ({"name": "a\0b"}, "name must be a non-empty string without '/' or NUL"),
             ({"output_dir": 5}, "output_dir must be a string"),
             ({"output_dir": None}, "output_dir must be a string"),
             ({"output_dir": ["out"]}, "output_dir must be a string"),
+            ({"output_dir": "o\0ut"}, "output_dir must be a string without NUL"),
         ],
         ids=["name-number", "name-null", "name-empty", "name-dot", "name-dotdot",
-             "name-nested", "name-absolute", "output_dir-number", "output_dir-null",
-             "output_dir-list"],
+             "name-nested", "name-absolute", "name-nul", "output_dir-number",
+             "output_dir-null", "output_dir-list", "output_dir-nul"],
     )
     def test_bad_name_or_output_dir_rejected(self, bad, match, tmp_path):
         # a number or null used to load and then fail at Path(output_dir) / name
-        # with a TypeError; a name with a '/' or of '..' left the output root
+        # with a TypeError; a name with a '/' or of '..' left the output root,
+        # and one with a NUL byte loaded and then failed at the first mkdir
         with pytest.raises(ValueError, match=match):
             ExperimentConfig(**bad)
         path = tmp_path / "c.json"

@@ -10,6 +10,7 @@ from mmuq.distributions import (
     FAMILIES,
     Dataset,
     ModelFamily,
+    _valid_rows,
     log_likelihood_batch,
     log_pdf_grid,
     params_from_moments,
@@ -17,7 +18,9 @@ from mmuq.distributions import (
     sample_one_per,
 )
 from mmuq import priors
+from mmuq.config import ExperimentConfig
 from mmuq.mcmc import EnsembleConfig, sample_posterior
+from mmuq.pipeline import StudyPipeline
 from mmuq.priors import (
     DegenerateDataError,
     ENVELOPE_COV,
@@ -334,6 +337,35 @@ class TestBuildInformativePrior:
     def test_repeated_value_raises_degenerate(self):
         with pytest.raises(DegenerateDataError):
             quick_prior(ModelFamily.NORMAL, Dataset(np.full(20, 34.0)))
+
+    # Open defect: each informative Gamma prior puts part of its mass at a
+    # non-positive parameter, where every likelihood is -inf.  Of 10^5
+    # draws, 41.6% (ABS-A), 43.9% (ABS-B), 45.9% (ABS-C) and 32.4%
+    # (ASTM-A7) are invalid; the six other ABS-B families lose none.  A
+    # sampler that mixes for Gamma flips the four xfails.
+    @pytest.mark.parametrize(
+        "name, family",
+        [
+            *(
+                pytest.param(
+                    name, ModelFamily.GAMMA,
+                    marks=pytest.mark.xfail(
+                        raises=AssertionError,
+                        reason="the Gamma prior puts mass at a non-positive parameter",
+                    ),
+                )
+                for name in HISTORICAL_SOURCES
+            ),
+            *(("ABS-B", f) for f in FAMILIES if f is not ModelFamily.GAMMA),
+        ],
+    )
+    def test_pipeline_prior_draws_are_valid(self, name, family):
+        # the study's prior, from its seed-2018 pre-prior stream and default
+        # pre-prior settings
+        prior = StudyPipeline(ExperimentConfig()).parameter_prior(name, family)
+        draws = prior.sample(np.random.default_rng(0), 100_000)
+        invalid = 1.0 - np.mean(_valid_rows(family, draws))
+        assert invalid < 0.01, invalid
 
     def test_prior_sample_mean_matches_support_mean(self, rng):
         prior = quick_prior(ModelFamily.NORMAL, historical_dataset("ASTM-A7"))

@@ -507,8 +507,14 @@ class TestPropagate:
 # the (n x 4) moment columns built once.
 
 
+def by_family(ens):
+    """Member indices sorted stably by family: the order of the rows of
+    ``_distinct_members`` and of the blocks below."""
+    return np.argsort(ens.family_codes, kind="stable")
+
+
 def fresh_density_blocks(ens, x):
-    order = np.argsort(ens.family_codes, kind="stable")
+    order = by_family(ens)
     codes = ens.family_codes[order]
     thetas = ens.thetas[order]
     _, starts = np.unique(codes, return_index=True)
@@ -586,13 +592,32 @@ class TestBlocksInReusedBuffers:
         want = list(fresh_density_blocks(ens, x))
         assert len(got) == len(want) > 2
         assert got[-1][0].stop - got[-1][0].start < got[0][0].stop - got[0][0].start
+        # the blocks keep the ensemble's row order, the reference sorts by family
+        order = by_family(ens)
         addresses = set()
         for (cols, block, view), (want_cols, want_block) in zip(got, want):
             assert cols == want_cols
-            assert block.tobytes() == want_block.tobytes()
+            assert block[order].tobytes() == want_block.tobytes()
             assert view.flags.c_contiguous
             addresses.add(view.__array_interface__["data"][0])
         assert len(addresses) == 1
+
+    def test_rows_in_any_order_get_their_own_grid_bits(self, monkeypatch):
+        # each row of a block is its member's own one-row log_pdf_grid,
+        # exponentiated, in the order the rows are given (here shuffled
+        # families), whatever the family runs around it
+        monkeypatch.setattr(distributions, "_BLOCK_CELLS", 70 * 64)
+        ens = seven_family_ensemble()
+        assert np.any(np.diff(ens.family_codes) < 0)
+        x = np.random.default_rng(31).uniform(20.0, 50.0, 301)
+        x[::40] = -1.0  # outside every positive support
+        blocks = 0
+        for cols, dens in propagation._density_blocks(ens, x):
+            blocks += 1
+            for i, (family, theta) in enumerate(ens):
+                want = np.exp(log_pdf_grid(family, theta[None, :], x[cols])[0])
+                assert dens[i].tobytes() == want.tobytes(), (family, i)
+        assert blocks > 2
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_propagate_sums_equal_the_moment_matrix_version(self, family, monkeypatch):
@@ -602,7 +627,7 @@ class TestBlocksInReusedBuffers:
             x = sample_mixture(ens, np.random.default_rng(24), 3001)
             res = propagate(ens, lambda v: v, x.size, None, failure_threshold=34.0, x_samples=x)
             sums = np.empty((ens.n_members, 4))
-            sums[propagation._by_family(ens)] = moment_matrix_sums(ens, x, 34.0)
+            sums[by_family(ens)] = moment_matrix_sums(ens, x, 34.0)
             sums /= x.size
             assert res.mean_weights.tobytes() == sums[:, 0].tobytes()
             assert res.means.tobytes() == sums[:, 1].tobytes()
@@ -718,7 +743,7 @@ class TestDistinctMembers:
     def test_rows_keep_the_by_family_order_of_first_occurrences(self):
         ens, source = repeated_mixed_ensemble()
         rows, counts, member_row = propagation._distinct_members(ens)
-        order = propagation._by_family(ens)
+        order = by_family(ens)
         first = list(dict.fromkeys(source[order]))
         base = mixed_ensemble()
         assert rows.family_codes.tobytes() == base.family_codes[first].tobytes()
@@ -731,7 +756,7 @@ class TestDistinctMembers:
     def test_no_repeats_is_the_by_family_order(self):
         ens = seven_family_ensemble()
         rows, counts, member_row = propagation._distinct_members(ens)
-        order = propagation._by_family(ens)
+        order = by_family(ens)
         assert rows.family_codes.tobytes() == ens.family_codes[order].tobytes()
         assert rows.thetas.tobytes() == ens.thetas[order].tobytes()
         assert np.all(counts == 1.0)
