@@ -136,12 +136,18 @@ def response_moments(
 ) -> tuple[float, float]:
     """Quadrature mean and variance of psi(sigma0) under one yield-strength
     model (trapezoid rule on 200,001 points over +-12 sd); independent of
-    the sampling-based propagation path.
+    the sampling-based propagation path.  A member without a finite yield sd
+    (a Loglogistic with scale parameter 0.5 or more) raises ``ValueError``.
 
     The rule runs over blocks of points (``_blocks``), each evaluating the
     density and psi once per point and closing the interval to the previous
     block's last point, so memory stays at the grid plus one block."""
     mean_s, sd_s = dist_moments(family, theta)
+    if not np.isfinite(sd_s):
+        raise ValueError(
+            f"{family.value} member {tuple(map(float, theta))} has no finite yield sd, "
+            "so no +-12 sd quadrature window"
+        )
     lo = max(mean_s - 12.0 * sd_s, 1e-6)
     hi = mean_s + 12.0 * sd_s
     grid = np.linspace(lo, hi, 200_001)
@@ -160,41 +166,65 @@ def response_moments(
     return m1, m2 - m1 * m1
 
 
+def _crossings(g, threshold: float, grid: np.ndarray):
+    """Brackets [grid[i], grid[i + 1]] of psi's downward and of its upward
+    crossings of the threshold."""
+    s = g(grid) - threshold
+    down = np.flatnonzero((s[:-1] >= 0.0) & (s[1:] < 0.0))
+    up = np.flatnonzero((s[:-1] < 0.0) & (s[1:] >= 0.0))
+    return [grid[i : i + 2] for i in down], [grid[i : i + 2] for i in up]
+
+
 def pf_semianalytic(
     family: ModelFamily, theta, threshold: float, base: PlateConfig = MEAN_PLATE
 ) -> float:
     """Failure probability P(psi < threshold) for one yield-strength model,
-    by one CDF evaluation at the root sigma* of psi(sigma0) = threshold,
-    which Brent's method (``_brentq``) solves to a few ulps.
+    from one CDF call at the crossings of psi(sigma0) = threshold, each
+    solved to a few ulps by Brent's method (``_brentq``).
 
-    psi must cross the threshold exactly once, downward, on the yield range
-    (psi has a shallow turnover just above sigma0 = 15 ksi, so strictness is
-    required at the crossing, not globally).  Serves as the independent
-    oracle for importance-sampling results.  ``base.sigma0`` is ignored;
-    sigma0 is the random input.
+    psi rises to +inf as sigma0 -> 0+, dips below zero (to -0.308 near 1.4
+    ksi at the mean plate), turns over just above 15 ksi and falls towards
+    0+.  So pf = (1 - F(sigma*)) + (F(sigma_b) - F(sigma_a)): sigma* is the
+    one downward crossing above 15 ksi (inf for a threshold at or below 0),
+    and (sigma_a, sigma_b) the part of the dip under the threshold, empty
+    when the threshold is at or below the dip's minimum as 500 geometric
+    points on (0, 15] resolve it.  Any other pattern of crossings is outside
+    the study envelope and raises.  Serves as the independent oracle for
+    importance-sampling results.  ``base.sigma0`` is ignored; sigma0 is the
+    random input.
     """
     g = buckling_response(base)
-    lo, hi = 15.0, 65.0
-    for _ in range(60):
-        if g(hi) < threshold:
-            break
-        hi *= 2.0
-    else:
-        return 0.0  # threshold below the attainable response: nothing fails
+    lo = 15.0
     if g(lo) <= threshold:
         raise ValueError(
             f"threshold {threshold} is not bracketed from above at sigma0={lo}; "
             "configuration outside the study envelope"
         )
-    grid = np.linspace(lo, hi, 500)
-    s = g(grid) - threshold
-    down = np.flatnonzero((s[:-1] >= 0.0) & (s[1:] < 0.0))
-    up = np.flatnonzero((s[:-1] < 0.0) & (s[1:] >= 0.0))
-    if down.size != 1 or up.size != 0:
-        raise ValueError(
-            "response does not cross the threshold exactly once (non-monotone "
-            f"on [{lo}, {hi}]); configuration outside the study envelope"
-        )
-    lo, hi = grid[down[0]], grid[down[0] + 1]
-    sigma_star = _brentq(lambda s: g(s) - threshold, lo, hi, xtol=0.0, rtol=1e-15)
-    return float(1.0 - dist_cdf(family, theta, sigma_star))
+
+    def root(bracket):
+        return _brentq(lambda s: g(s) - threshold, *bracket, xtol=0.0, rtol=1e-15)
+
+    sigma_a = sigma_b = lo
+    down, up = _crossings(g, threshold, np.geomspace(lo * 1e-4, lo, 500))
+    if down or up:
+        if len(down) != 1 or len(up) != 1:
+            raise ValueError(
+                f"response does not dip under the threshold once on (0, {lo}]; "
+                "configuration outside the study envelope"
+            )
+        sigma_a, sigma_b = root(down[0]), root(up[0])
+    # sigma* lies below the first of 65, 130, 260, ... ksi where psi is
+    # under the threshold
+    sigma_star = np.inf
+    his = 65.0 * 2.0 ** np.arange(60)
+    under = his[g(his) < threshold]
+    if under.size:
+        down, up = _crossings(g, threshold, np.linspace(lo, under[0], 500))
+        if len(down) != 1 or up:
+            raise ValueError(
+                "response does not cross the threshold exactly once (non-monotone "
+                f"on [{lo}, {under[0]}]); configuration outside the study envelope"
+            )
+        sigma_star = root(down[0])
+    f = dist_cdf(family, theta, np.array([sigma_a, sigma_b, sigma_star]))
+    return float((1.0 - f[2]) + (f[1] - f[0]))

@@ -59,13 +59,14 @@ must be C-contiguous, as np.matmul runs no BLAS into a strided ``out``.
 ``params_from_moments`` inverts the Weibull and Loglogistic moment relations
 (behind the noninformative boxes and the MLE starts) with ``_brentq``, a
 step-for-step port of scipy's C ``brentq`` that returns the same bits; it
-also solves ``buckling.pf_semianalytic``'s failure yield.  The
+also solves ``buckling.pf_semianalytic``'s failure yields.  The
 special functions (log Gamma in the Gamma coefficients and the Weibull
 moments, Gamma, the normal CDF, the regularized incomplete gamma and the
 logistic function in ``cdf``) come from :mod:`mmuq.special`, ports of the
-Cephes routines scipy.special runs; on the scalars of the moment relations
-they return scipy's bits, and so does ``gammaln`` on the arrays of Gamma
-shapes behind every Gamma density and likelihood.  With them, ``_brentq``
+Cephes routines scipy.special runs; log Gamma, the normal CDF and the
+logistic function return scipy's bits on scalars and arrays alike, and
+every element of a ``cdf`` call is the one a call on that point alone
+returns.  With them, ``_brentq``
 and ``evidence._nelder_mead`` mmuq imports no scipy, which saves every
 process about 0.2 s and 20 MB of resident memory at import.
 """
@@ -442,37 +443,34 @@ def pdf(family: ModelFamily, theta, x):
 
 
 def cdf(family: ModelFamily, theta, x):
-    """Cumulative distribution function; 0/1 beyond the support endpoints."""
+    """Cumulative distribution function; 0/1 beyond the support endpoints.
+    Each element of an array x gets the bits that x alone gets."""
     th = require_valid_theta(family, theta)
     xa = np.asarray(x, dtype=float)
     x = xa.ravel()
     p1, p2 = float(th[0]), float(th[1])
-    # a scalar x reaches the special functions as a scalar, whose path
-    # computes with libm's exp as scipy.special does
-    arg = (lambda v: v[0]) if xa.ndim == 0 else (lambda v: v)
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if family is ModelFamily.NORMAL:
-            out = special.ndtr(arg((x - p1) / p2))
+            out = special.ndtr((x - p1) / p2)
         elif family is ModelFamily.LOGNORMAL:
-            out = special.ndtr(arg((np.log(x) - p1) / p2))
+            out = special.ndtr((np.log(x) - p1) / p2)
         elif family is ModelFamily.GAMMA:
             out = special.gammainc(p1, x / p2)
         elif family is ModelFamily.INVERSE_GAUSSIAN:
             rt = np.sqrt(p2 / x)
             # second term computed in log space; it underflows harmlessly to 0
-            t1 = special.ndtr(arg(rt * (x / p1 - 1.0)))
+            t1 = special.ndtr(rt * (x / p1 - 1.0))
             t2 = np.exp(2.0 * p2 / p1 + special.log_ndtr(-rt * (x / p1 + 1.0)))
             out = np.clip(t1 + t2, 0.0, 1.0)
         elif family is ModelFamily.LOGISTIC:
-            out = special.expit(arg((x - p1) / p2))
+            out = special.expit((x - p1) / p2)
         elif family is ModelFamily.LOGLOGISTIC:
-            out = special.expit(arg((np.log(x) - p1) / p2))
+            out = special.expit((np.log(x) - p1) / p2)
         elif family is ModelFamily.WEIBULL:
             out = -np.expm1(-((x / p2) ** p1))
         else:  # pragma: no cover
             raise KeyError(family)
-    out = np.atleast_1d(out)
     out[_outside(family, x)] = 0.0
     out[x == np.inf] = 1.0
     return float(out[0]) if xa.ndim == 0 else out.reshape(xa.shape)

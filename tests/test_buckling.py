@@ -1,6 +1,8 @@
 """The buckling response, synthetic data generation and the failure-probability
 oracle."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -31,6 +33,18 @@ from mmuq.seeding import rng_for
 def slenderness(cfg: PlateConfig) -> float:
     """(b/t) sqrt(sigma0 / E), written out independently of the library."""
     return (cfg.b / cfg.t) * np.sqrt(cfg.sigma0 / cfg.E)
+
+
+def spy_on_cdf(monkeypatch):
+    """The list of the x of every CDF call ``pf_semianalytic`` makes."""
+    seen = []
+
+    def spy(family, theta, x):
+        seen.append(x)
+        return cdf(family, theta, x)
+
+    monkeypatch.setattr(buckling, "dist_cdf", spy)
+    return seen
 
 
 class TestPsiFormulas:
@@ -97,6 +111,14 @@ class TestPsiFormulas:
         assert m == pytest.approx(m1, rel=1e-14)
         assert v == pytest.approx(m2 - m1 * m1, rel=1e-11)
 
+    def test_member_without_finite_sd_is_an_error(self):
+        # Loglogistic (3.5, 0.6) has a mean but no variance, so no +-12 sd
+        # window: [1e-6, inf] would give (nan, nan) and two RuntimeWarnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"Loglogistic member \(3\.5, 0\.6\)"):
+                response_moments(ModelFamily.LOGLOGISTIC, (3.5, 0.6), MEAN_PLATE)
+
     def test_response_moments_match_sampling(self, rng):
         m, v = response_moments(TRUE_MODEL.family, TRUE_MODEL.theta, MEAN_PLATE)
         draws = buckling_response(MEAN_PLATE)(
@@ -137,7 +159,46 @@ class TestPfSemianalytic:
         assert pf == pytest.approx(0.090132, abs=0.002)
 
     def test_threshold_below_response_floor(self):
-        assert pf_semianalytic(TRUE_MODEL.family, TRUE_MODEL.theta, -0.2, MEAN_PLATE) == 0.0
+        # psi's floor is its dip's minimum, -0.308 near 1.4 ksi
+        grid = np.geomspace(1e-3, 15.0, 200_001)
+        floor = buckling_response(MEAN_PLATE)(grid).min()
+        assert floor == pytest.approx(-0.308, abs=1e-3)
+        theta = params_from_moments(ModelFamily.LOGNORMAL, 2.0, 0.5)  # mass on the dip
+        assert pf_semianalytic(ModelFamily.LOGNORMAL, theta, floor - 1e-3, MEAN_PLATE) == 0.0
+
+    @pytest.mark.parametrize(
+        "family, mean, cov, threshold",
+        [(ModelFamily.LOGNORMAL, 20.0, 0.4, 0.6), (ModelFamily.LOGNORMAL, 2.0, 0.5, -0.2),
+         (ModelFamily.GAMMA, 3.0, 0.6, -0.2)],
+        ids=["weak-member-0.6", "dip-member-neg0.2", "gamma-dip-member-neg0.2"],
+    )
+    def test_failure_interval_below_the_turnover(self, family, mean, cov, threshold):
+        # psi < threshold on (sigma_a, sigma_b) inside the dip below 15 ksi as
+        # well as above sigma*: the first member has 0.0127 of its pf there
+        theta = params_from_moments(family, mean, cov)
+        n = 10**6
+        draws = buckling_response(MEAN_PLATE)(sample(family, theta, rng_for(7, "pf-dip"), n))
+        p_mc = np.mean(draws < threshold)
+        se = np.sqrt(p_mc * (1 - p_mc) / n)
+        pf = pf_semianalytic(family, theta, threshold, MEAN_PLATE)
+        assert pf == pytest.approx(p_mc, abs=3.0 * se)
+
+    def test_truth_pf_keeps_its_bits(self, monkeypatch):
+        # the dip holds 6.3e-38 of the true member: adding it moves no bit
+        # of 1 - F(sigma*)
+        seen = spy_on_cdf(monkeypatch)
+        pf = pf_semianalytic(TRUE_MODEL.family, TRUE_MODEL.theta, 0.6, MEAN_PLATE)
+        [(sigma_a, sigma_b, sigma_star)] = seen
+        assert sigma_a == pytest.approx(0.7803, abs=1e-4) and sigma_b == pytest.approx(7.8471, abs=1e-4)
+        dip = cdf(TRUE_MODEL.family, TRUE_MODEL.theta, sigma_b) - cdf(TRUE_MODEL.family, TRUE_MODEL.theta, sigma_a)
+        assert 0.0 < dip < 1e-37
+        assert pf == 1.0 - cdf(TRUE_MODEL.family, TRUE_MODEL.theta, sigma_star)
+
+    def test_dip_crossing_the_threshold_once_is_an_error(self):
+        # so slender a plate that psi is already under 0.01 at the scan's
+        # first point: the dip rises across the threshold without falling
+        with pytest.raises(ValueError, match="dip under the threshold once"):
+            pf_semianalytic(TRUE_MODEL.family, TRUE_MODEL.theta, 0.01, PlateConfig(b=1500.0, t=1.0))
 
     def test_agrees_with_direct_monte_carlo(self):
         rng = rng_for(123, "pf-oracle")
@@ -155,7 +216,7 @@ class TestPfSemianalytic:
             pf_semianalytic(TRUE_MODEL.family, TRUE_MODEL.theta, 0.9, MEAN_PLATE)
 
     def test_normal_member_agrees_with_cdf_identity(self):
-        # psi decreasing: P(psi < t) = 1 - F(sigma*) for any member family
+        # any member family: (1 - F(sigma*)) + (F(sigma_b) - F(sigma_a))
         theta = np.array([34.782, 4.03])
         pf = pf_semianalytic(ModelFamily.NORMAL, theta, 0.6, MEAN_PLATE)
         assert 0.0 < pf < 1.0
@@ -168,22 +229,17 @@ class TestPfSemianalytic:
         ids=["mean-0.45", "mean-0.6", "thin-0.45", "thin-0.6", "thin-0.7"],
     )
     def test_root_to_machine_precision(self, threshold, plate, monkeypatch):
-        # sigma* is where the oracle evaluates the CDF: the root to a few
-        # ulps, not to a fixed bracket width in ksi
-        seen = []
-
-        def spy(family, theta, x):
-            seen.append(x)
-            return cdf(family, theta, x)
-
-        monkeypatch.setattr(buckling, "dist_cdf", spy)
+        # sigma* is the last point of the oracle's one CDF call: the root to
+        # a few ulps, not to a fixed bracket width in ksi
+        seen = spy_on_cdf(monkeypatch)
         pf_semianalytic(TRUE_MODEL.family, TRUE_MODEL.theta, threshold, plate)
         g = buckling_response(plate)
         root = brentq(
             lambda s: g(s) - threshold, 15.0, 1e3,
             xtol=1e-300, rtol=4 * np.finfo(float).eps, maxiter=500,
         )
-        [sigma_star] = seen
+        [points] = seen
+        sigma_star = points[-1]
         assert sigma_star == pytest.approx(root, rel=1e-13, abs=0.0)
 
 

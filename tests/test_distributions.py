@@ -814,9 +814,6 @@ class TestBrentqPort:
             brentq(step, -1e300, 1e300, xtol=1e-12, rtol=1e-14)
 
 
-EPS = np.finfo(float).eps
-
-
 def around(*edges, steps=40):
     """Each edge and the ``steps`` doubles on either side of it."""
     return np.concatenate(
@@ -826,20 +823,6 @@ def around(*edges, steps=40):
 
 def scalar_results(func, xs):
     return np.array([func(float(x)) for x in xs])
-
-
-def assert_within_libm_rounding(got, want, bound):
-    """An array port's result: scipy's bits except where numpy's log or exp
-    rounds differently from libm's (with numpy's AVX-512 kernels, about 1 in
-    10^4 logs and 1 in 20 exps), and then within ``bound``."""
-    np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
-    keep = ~np.isnan(want)
-    got, want = got[keep], want[keep]
-    np.testing.assert_array_equal(np.isinf(got), np.isinf(want))
-    finite = np.isfinite(want)
-    assert np.all(got[~finite] == want[~finite])
-    err = np.abs(got[finite] - want[finite])
-    assert np.all(err <= bound(want[finite])), np.max(err / bound(want[finite]))
 
 
 def scipy_cdf(family, theta, x):
@@ -865,9 +848,9 @@ def scipy_cdf(family, theta, x):
 
 class TestSpecialPorts:
     """``mmuq.special`` against ``scipy.special``, the oracle: the Cephes
-    ports return scipy's bits on scalars, and gammaln on arrays too; ndtr
-    and expit differ on arrays only through numpy's log and exp; gammainc
-    and log_ndtr hold a stated accuracy."""
+    ports return scipy's bits on scalars and, mapped element by element, on
+    arrays; gammainc and log_ndtr hold a stated accuracy; and every element
+    of a gammainc or cdf call is the one a call on it alone returns."""
 
     # every branch edge of lgam (2, 3, 13, 1000, 1e8) and its (0, 2) corners
     GAMMALN_POINTS = np.concatenate(
@@ -881,23 +864,39 @@ class TestSpecialPorts:
     )
     # where x + 1 or x + 2 rounds to 2 and lgam returns log z alone
     ROUNDING_TO_TWO = np.array([2.0**-52, 2.0**-53, 1e-300, 5e-324, 1.0 - 2.0**-53, 1.0 + 2.0**-52])
+    # erfc's branches at |x| / sqrt 2 = 1 and 8, its underflow near 37.7
+    NDTR_POINTS = np.concatenate(
+        [
+            np.linspace(-40.0, 40.0, 20_001),
+            around(*[s * e for s in (-1, 1) for e in (1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0), 37.6)], steps=20),
+            [0.0, -0.0, np.inf, -np.inf, np.nan],
+        ]
+    )
+    EXPIT_POINTS = np.concatenate([np.random.default_rng(5).normal(0.0, 20.0, 30_000), [0.0, 800.0, -800.0, np.nan]])
+    ARRAY_POINTS = {
+        "gammaln": np.concatenate([GAMMALN_POINTS, ROUNDING_TO_TWO]),
+        "ndtr": NDTR_POINTS,
+        "expit": EXPIT_POINTS,
+    }
 
     def test_gammaln_scalar_bit_for_bit(self):
-        xs = np.concatenate([self.GAMMALN_POINTS, self.ROUNDING_TO_TWO])
+        xs = self.ARRAY_POINTS["gammaln"]
         assert_same_bits(scalar_results(special.gammaln, xs), gammaln(xs))
 
-    def test_gammaln_array_bit_for_bit(self):
+    @pytest.mark.parametrize("name", ["gammaln", "ndtr", "expit"])
+    def test_array_bit_for_bit(self, name):
         # the scalar port element by element: scipy's bits on any array
-        xs = np.concatenate([self.GAMMALN_POINTS, self.ROUNDING_TO_TWO])
-        assert_same_bits(special.gammaln(xs), gammaln(xs))
-        grid = xs[:60_000].reshape(200, 300)  # every branch in one 2-D call
-        got = special.gammaln(grid)
-        assert got.shape == (200, 300)
-        assert_same_bits(got, gammaln(grid))
+        port, oracle = getattr(special, name), getattr(scipy.special, name)
+        xs = self.ARRAY_POINTS[name]
+        assert_same_bits(port(xs), oracle(xs))
+        grid = np.stack([xs, xs[::-1]])  # every point in one 2-D call
+        got = port(grid)
+        assert got.shape == grid.shape
+        assert_same_bits(got, oracle(grid))
         for empty in (np.array([]), np.empty((0, 3))):
-            assert special.gammaln(empty).shape == empty.shape
-        zero_d = special.gammaln(np.array(3.5))
-        assert np.ndim(zero_d) == 0 and zero_d == gammaln(3.5)
+            assert port(empty).shape == empty.shape
+        zero_d = port(np.array(3.5))
+        assert np.ndim(zero_d) == 0 and zero_d == oracle(3.5)
 
     def test_gammaln_documented_values(self):
         xs = np.array([-1e4, 0.0, np.nan, 1e-300, 12.999, 13.0, 999.99, 1e8 + 1, -np.inf, np.inf, 1e306])
@@ -922,29 +921,13 @@ class TestSpecialPorts:
         with pytest.raises(ValueError):
             special.gamma(0.0)
 
-    # erfc's branches at |x| / sqrt 2 = 1 and 8, its underflow near 37.7
-    NDTR_POINTS = np.concatenate(
-        [
-            np.linspace(-40.0, 40.0, 20_001),
-            around(*[s * e for s in (-1, 1) for e in (1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0), 37.6)], steps=20),
-            [0.0, -0.0, np.inf, -np.inf, np.nan],
-        ]
-    )
-
     def test_ndtr_bit_for_bit_on_scalars(self):
         xs = self.NDTR_POINTS
         assert_same_bits(scalar_results(special.ndtr, xs), ndtr(xs))
 
-    def test_ndtr_array_within_libm_rounding(self):
-        # measured: at most 2 eps relative
-        xs = self.NDTR_POINTS
-        assert_within_libm_rounding(special.ndtr(xs), ndtr(xs), lambda v: 4 * EPS * np.abs(v))
-
     def test_expit(self):
-        xs = np.concatenate([np.random.default_rng(5).normal(0.0, 20.0, 30_000), [0.0, 800.0, -800.0, np.nan]])
+        xs = self.EXPIT_POINTS
         assert_same_bits(scalar_results(special.expit, xs), scipy.special.expit(xs))
-        # measured: at most 1 eps relative
-        assert_within_libm_rounding(special.expit(xs), scipy.special.expit(xs), lambda v: 2 * EPS * v)
 
     def test_log_ndtr_to_1e14_relative(self):
         xs = np.concatenate([np.linspace(-1000.0, 40.0, 50_001), around(-37.0, 0.0, steps=5)])
@@ -968,6 +951,15 @@ class TestSpecialPorts:
         )
         assert np.isnan(special.gammainc(-1.0, 1.0))
 
+    def test_gammainc_element_ignores_its_neighbours(self):
+        # each series or continued-fraction element stops on its own, so a
+        # slow neighbour (a = 1e4) adds no terms to a converged sum
+        a, x = np.array([74.31629013079666, 1e4]), np.array([35.58558485, 9990.0])
+        assert_same_bits(special.gammainc(a, x), np.array([special.gammainc(*ax) for ax in zip(a, x)]))
+        a, x = np.broadcast_arrays(np.array([0.5, 2.5, 13.0, 100.0, 1e4])[:, None], np.geomspace(1e-3, 2e4, 400))
+        want = np.array([special.gammainc(*ax) for ax in zip(a.ravel(), x.ravel())]).reshape(a.shape)
+        assert_same_bits(special.gammainc(a, x), want)
+
     @pytest.mark.parametrize("family", FAMILIES)
     def test_cdf_matches_the_scipy_formula_over_the_box(self, family):
         box = default_uniform_prior(family)
@@ -979,9 +971,22 @@ class TestSpecialPorts:
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-11)
             tail = 1.0 - want >= 1e-300
             np.testing.assert_allclose(1.0 - got[tail], 1.0 - want[tail], rtol=1e-10)
-            # a scalar x takes the scalar path: scipy's bits where it is a port
+            # scipy's bits where the formula runs on ports only
             if family is not ModelFamily.GAMMA and family is not ModelFamily.INVERSE_GAUSSIAN:
-                assert_same_bits(np.array([cdf(family, theta, float(v)) for v in x[::10]]), want[::10])
+                assert_same_bits(got, want)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_cdf_array_equals_element_by_element(self, family):
+        theta = params_from_moments(family, 34.782, 0.116)
+        x = np.linspace(5.0, 80.0, 5001)
+        want = np.array([cdf(family, theta, v) for v in x])
+        assert_same_bits(cdf(family, theta, x), want)
+        assert_same_bits(cdf(family, theta, x.reshape(1667, 3)), want.reshape(1667, 3))
+        assert_same_bits(cdf(family, theta, x[::-1]), want[::-1])
+        for empty in (np.array([]), np.empty((0, 3))):
+            assert cdf(family, theta, empty).shape == empty.shape
+        zero_d = cdf(family, theta, np.array(x[2500]))
+        assert type(zero_d) is float and zero_d == want[2500]
 
     def test_weibull_box_bit_identical_to_scipy(self, monkeypatch):
         corners = lambda: np.array(  # noqa: E731

@@ -780,8 +780,8 @@ print(json.dumps([codes, sorted(reached), pf, scipy]))
             ["_brentq", "_nelder_mead", "logsumexp", "gammaln", "gamma", "ndtr", "log_ndtr", "gammainc", "expit"]
         )
         assert scipy_modules == []
-        # the oracle's pf, the same on scipy.special: its bits where the
-        # scalar path is a port, within gammainc's and log_ndtr's accuracy
+        # the oracle's pf, the same on scipy.special: its bits where the cdf
+        # runs on ports only, within gammainc's and log_ndtr's accuracy
         monkeypatch.setattr(distributions_module, "special", scipy.special)
         want = [
             pf_semianalytic(f, params_from_moments(f, 34.782, 0.116), 0.6) for f in FAMILIES
