@@ -166,6 +166,25 @@ def response_moments(
     return m1, m2 - m1 * m1
 
 
+def _least_point(g, a: float, b: float) -> float:
+    """The point of [a, b] where g, unimodal there, is least: golden-section
+    search (Kiefer 1953) until the bracket is 1.5e-8 of b wide, about where
+    g's rise from its minimum falls under its rounding."""
+    shrink = (np.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - shrink * (b - a), a + shrink * (b - a)
+    gc, gd = g(c), g(d)
+    while b - a > 1.5e-8 * b:
+        if gc < gd:
+            b, d, gd = d, c, gc
+            c = b - shrink * (b - a)
+            gc = g(c)
+        else:
+            a, c, gc = c, d, gd
+            d = a + shrink * (b - a)
+            gd = g(d)
+    return c if gc < gd else d
+
+
 def _crossings(g, threshold: float, grid: np.ndarray):
     """Brackets [grid[i], grid[i + 1]] of psi's downward and of its upward
     crossings of the threshold."""
@@ -187,8 +206,11 @@ def pf_semianalytic(
     0+.  So pf = (1 - F(sigma*)) + (F(sigma_b) - F(sigma_a)): sigma* is the
     one downward crossing above 15 ksi (inf for a threshold at or below 0),
     and (sigma_a, sigma_b) the part of the dip under the threshold, empty
-    when the threshold is at or below the dip's minimum as 500 geometric
-    points on (0, 15] resolve it.  Any other pattern of crossings is outside
+    when the threshold is at or below the dip's minimum.  500 geometric
+    points on (0, 15] bracket the crossings; when none of them falls under
+    the threshold, a golden-section search between the lowest point's
+    neighbours finds the minimum, so a threshold just above it still counts
+    its narrow interval.  Any other pattern of crossings is outside
     the study envelope and raises.  Serves as the independent oracle for
     importance-sampling results.  ``base.sigma0`` is ignored; sigma0 is the
     random input.
@@ -205,7 +227,13 @@ def pf_semianalytic(
         return _brentq(lambda s: g(s) - threshold, *bracket, xtol=0.0, rtol=1e-15)
 
     sigma_a = sigma_b = lo
-    down, up = _crossings(g, threshold, np.geomspace(lo * 1e-4, lo, 500))
+    scan = np.geomspace(lo * 1e-4, lo, 500)
+    down, up = _crossings(g, threshold, scan)
+    i = int(np.argmin(g(scan)))
+    if not (down or up) and 0 < i < scan.size - 1:
+        least = _least_point(g, scan[i - 1], scan[i + 1])
+        if g(least) < threshold:
+            down, up = [np.array([scan[i - 1], least])], [np.array([least, scan[i + 1]])]
     if down or up:
         if len(down) != 1 or len(up) != 1:
             raise ValueError(

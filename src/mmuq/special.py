@@ -309,15 +309,20 @@ _LOG_NDTR_SERIES = tuple((-1.0) ** k * math.prod(range(1, 2 * k, 2)) for k in ra
 
 def log_ndtr(x):
     """log of the standard normal CDF, to about 1e-15 relative: log1p(-ndtr(-x))
-    above 0, log(ndtr(x)) down to -37, an asymptotic series below."""
+    above 0, log(ndtr(x)) down to -37, an asymptotic series below.  Each
+    element runs only its own branch (NaN takes the middle one)."""
     x = np.asarray(x, dtype=float)
+    out = np.empty(x.shape)
+    upper = x > 0.0
+    far = x < _LOG_NDTR_ASYMPTOTIC
+    lower = ~(upper | far)
     with np.errstate(all="ignore"):
-        lower = np.log(ndtr(x))
-        upper = np.log1p(-ndtr(-x))
-        w = 1.0 / (x * x)
+        out[upper] = np.log1p(-ndtr(-x[upper]))
+        out[lower] = np.log(ndtr(x[lower]))
+        xf = x[far]
+        w = 1.0 / (xf * xf)
         series = np.log1p(w * _polevl(w, _LOG_NDTR_SERIES))
-        far = -0.5 * x * x - np.log(-x) - _LOG_SQRT_2PI + series
-        out = np.where(x > 0.0, upper, np.where(x < _LOG_NDTR_ASYMPTOTIC, far, lower))
+        out[far] = -0.5 * xf * xf - np.log(-xf) - _LOG_SQRT_2PI + series
     return out[()]
 
 

@@ -183,6 +183,24 @@ class TestPfSemianalytic:
         pf = pf_semianalytic(family, theta, threshold, MEAN_PLATE)
         assert pf == pytest.approx(p_mc, abs=3.0 * se)
 
+    def test_threshold_just_above_the_dip_minimum(self):
+        # psi's least value on the 500-point scan is -0.3079673 and its true
+        # minimum -0.3080461, so at -0.30802 no scan point is under the
+        # threshold, yet psi is under it on an interval about 0.012 ksi wide
+        # that holds 0.0061 of this member
+        family = ModelFamily.LOGNORMAL
+        theta = params_from_moments(family, 2.0, 0.5)
+        threshold = -0.30802
+        g = buckling_response(MEAN_PLATE)
+        assert g(np.geomspace(15e-4, 15.0, 500)).min() > threshold
+        # dense-grid oracle: the dip's interval from 2,000,001 points 2e-7 ksi
+        # apart (psi stays above a negative threshold past the turnover)
+        dense = np.linspace(1.2, 1.6, 2_000_001)
+        under = dense[g(dense) < threshold]
+        want = cdf(family, theta, under.max()) - cdf(family, theta, under.min())
+        assert want > 6e-3
+        assert pf_semianalytic(family, theta, threshold, MEAN_PLATE) == pytest.approx(want, abs=1e-6)
+
     def test_truth_pf_keeps_its_bits(self, monkeypatch):
         # the dip holds 6.3e-38 of the true member: adding it moves no bit
         # of 1 - F(sigma*)

@@ -691,6 +691,98 @@ class TestLogPdfGrid:
         assert peak <= 4 * 2**20, peak
 
 
+CELL_TERM_FAMILIES = [ModelFamily.LOGISTIC, ModelFamily.LOGLOGISTIC, ModelFamily.WEIBULL]
+
+
+def linear_log_likelihood(family, thetas, data):
+    """The likelihood's linear form c(theta) . sum_i T(x_i) of valid rows."""
+    with np.errstate(all="ignore"):
+        return _matmul(distributions._coefficients(family, thetas), data.feature_sums(family))[:, 0]
+
+
+def direct_log_likelihood(family, thetas, data):
+    """The likelihood of valid rows as the direct data sum: the linear form
+    plus h summed over every point, in the operations (and so with the bits)
+    of the likelihood without the quadrature."""
+    h = distributions._cell_term(family, thetas, data.cell_term_points(family))
+    return linear_log_likelihood(family, thetas, data) + h.sum(axis=1)
+
+
+class TestChebyshevQuadrature:
+    """The likelihood's data term as a sum over 129 Chebyshev nodes on
+    datasets of more than 258 points, with the direct sum for every row that
+    fails the tail test."""
+
+    @pytest.mark.parametrize("family", [ModelFamily.LOGISTIC, ModelFamily.WEIBULL])
+    @pytest.mark.parametrize("n", [259, 10**4])
+    def test_weights_reproduce_the_chebyshev_moments(self, family, n, rng):
+        # sum_j w_j T_k(u(tau_j)) = sum_i T_k(u(t_i)) for every k < 129,
+        # with the moments written as cos(k arccos u) and summed exactly
+        data = Dataset(sample(family, STUDY_THETAS[family], rng, n))
+        nodes, weights, _ = data.quadrature(family)
+        assert nodes.size == weights.size == 129
+        t = data.cell_term_points(family)
+        lo, hi = t.min(), t.max()
+        angle = lambda v: np.arccos(np.clip((2.0 * v - lo - hi) / (hi - lo), -1.0, 1.0))  # noqa: E731
+        for k in range(129):
+            want = math.fsum(np.cos(k * angle(t)))
+            got = math.fsum(weights * np.cos(k * angle(nodes)))
+            assert got == pytest.approx(want, abs=1e-12 * n), k
+
+    @pytest.mark.parametrize("family", CELL_TERM_FAMILIES)
+    @pytest.mark.parametrize("n", [1, 37, 258])
+    def test_small_dataset_keeps_the_direct_sum(self, family, n, rng):
+        box = default_uniform_prior(family)
+        thetas = rng.uniform(box.lo, box.hi, size=(300, 2))
+        data = Dataset(sample(family, STUDY_THETAS[family], rng, n))
+        assert data.quadrature(family) is None
+        want = direct_log_likelihood(family, thetas, data)
+        assert_same_bits(log_likelihood_batch(family, thetas, data), want)
+
+    @pytest.mark.parametrize(
+        "family, rows",
+        [(ModelFamily.LOGISTIC, [(34.0, 0.01), (30.0, 0.05), (45.0, 0.02)]),
+         (ModelFamily.LOGLOGISTIC, [(3.55, 0.001), (3.4, 0.002), (3.7, 0.0005)]),
+         (ModelFamily.WEIBULL, [(50.0, 36.5), (80.0, 40.0), (127.0, 38.0)])],
+        ids=["Logistic-small-scale", "Loglogistic-small-scale", "Weibull-steep-shape"],
+    )
+    @pytest.mark.parametrize("n", [500, 10**4])
+    def test_rows_failing_the_tail_test_take_the_direct_sum(self, family, rows, n, rng):
+        # h has a corner (or a wall) far narrower than the data's range, so
+        # its last two Chebyshev coefficients are large and the row takes the
+        # direct sum, with its bits, beside a row that takes the node sum
+        data = Dataset(sample(family, STUDY_THETAS[family], rng, n))
+        thetas = np.array([STUDY_THETAS[family], *rows])
+        got = log_likelihood_batch(family, thetas, data)
+        direct = direct_log_likelihood(family, thetas, data)
+        assert_same_bits(got[1:], direct[1:])
+        nodes, weights, tail = data.quadrature(family)
+        h = distributions._cell_term(family, thetas, nodes)
+        estimate = n * (np.abs((h * tail[0]).sum(axis=1)) + np.abs((h * tail[1]).sum(axis=1)))
+        total = (h * weights).sum(axis=1)
+        assert np.all(~(estimate[1:] <= distributions._CHEB_TAIL_RTOL * (1.0 + np.abs(total[1:]))))
+        assert estimate[0] <= distributions._CHEB_TAIL_RTOL * (1.0 + np.abs(total[0]))
+        assert got[0] == linear_log_likelihood(family, thetas[:1], data)[0] + total[0]
+
+    @pytest.mark.parametrize("family", CELL_TERM_FAMILIES)
+    @pytest.mark.parametrize("n", [500, 10**4])
+    def test_rows_near_the_mle_match_an_exact_sum(self, family, n, rng):
+        # every row near the truth takes the node sum sum_j w_j h(theta,
+        # tau_j), within 8 eps sum_i |h| of the exactly rounded sum of the
+        # same h over the data
+        data = Dataset(sample(family, STUDY_THETAS[family], rng, n))
+        thetas = np.array(STUDY_THETAS[family]) * rng.uniform(0.95, 1.05, size=(100, 2))
+        nodes, weights, _ = data.quadrature(family)
+        total = (distributions._cell_term(family, thetas, nodes) * weights).sum(axis=1)
+        got = log_likelihood_batch(family, thetas, data)
+        assert_same_bits(got, linear_log_likelihood(family, thetas, data) + total)
+        h = distributions._cell_term(family, thetas, data.cell_term_points(family))
+        exact = np.array([math.fsum(row) for row in h])
+        bound = 8.0 * np.finfo(float).eps * np.abs(h).sum(axis=1)
+        err = np.abs(total - exact)
+        assert np.all(err <= bound), np.max(err / bound)
+
+
 class TestMatmul:
     """Every cell of ``_matmul`` on a degenerate operand equals, bit for
     bit, the same cell of a product in which that operand sits inside a
@@ -936,6 +1028,21 @@ class TestSpecialPorts:
         # measured: 6.7e-16
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
         assert special.log_ndtr(-np.inf) == -np.inf and special.log_ndtr(np.inf) == 0.0
+
+    def test_log_ndtr_equals_all_branches_then_a_choice(self):
+        # each element runs only the branch it keeps, with the bits of
+        # evaluating all three everywhere and choosing per element
+        xs = np.concatenate([np.linspace(-1000.0, 40.0, 50_001), around(-37.0, 0.0, steps=5),
+                             [np.nan, -np.inf, np.inf, -0.0, 5e-324, -5e-324]])
+        with np.errstate(all="ignore"):
+            w = 1.0 / (xs * xs)
+            series = np.log1p(w * special._polevl(w, special._LOG_NDTR_SERIES))
+            far = -0.5 * xs * xs - np.log(-xs) - special._LOG_SQRT_2PI + series
+            want = np.where(xs > 0.0, np.log1p(-special.ndtr(-xs)),
+                            np.where(xs < -37.0, far, np.log(special.ndtr(xs))))
+        assert_same_bits(special.log_ndtr(xs), want)
+        assert_same_bits(special.log_ndtr(xs[:50_001].reshape(7, -1)), want[:50_001].reshape(7, -1))
+        assert_same_bits(np.array([special.log_ndtr(v) for v in xs[::997]]), want[::997])
 
     def test_gammainc_accuracy(self):
         a = np.array([0.5, 1.0, 2.5, 8.16, 13.0, 100.0, 1000.0, 1e4])[:, None]
