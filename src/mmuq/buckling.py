@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from typing import Callable
 
 import numpy as np
 
 from .distributions import (
     _blocks,
-    _brentq,
     Dataset,
     ModelFamily,
     cdf as dist_cdf,
@@ -37,6 +37,7 @@ __all__ = [
     "buckling_response",
     "generate_data",
     "response_moments",
+    "failure_set",
     "pf_semianalytic",
 ]
 
@@ -70,6 +71,11 @@ class PlateConfig:
                 raise ValueError(f"plate {name} must be a finite positive number, got {value!r}")
         if self.b <= self.t:
             raise ValueError("plate width must exceed thickness")
+        if 2.0 * self.eta * self.t >= self.b:
+            raise ValueError(
+                f"plate residual-stress zones 2*eta*t = 2*{self.eta!r}*{self.t!r} must be "
+                f"narrower than its width b = {self.b!r}"
+            )
 
 
 # Variable means: measured bias factors applied to the nominal values.
@@ -166,93 +172,46 @@ def response_moments(
     return m1, m2 - m1 * m1
 
 
-def _least_point(g, a: float, b: float) -> float:
-    """The point of [a, b] where g, unimodal there, is least: golden-section
-    search (Kiefer 1953) until the bracket is 1.5e-8 of b wide, about where
-    g's rise from its minimum falls under its rounding."""
-    shrink = (np.sqrt(5.0) - 1.0) / 2.0
-    c, d = b - shrink * (b - a), a + shrink * (b - a)
-    gc, gd = g(c), g(d)
-    while b - a > 1.5e-8 * b:
-        if gc < gd:
-            b, d, gd = d, c, gc
-            c = b - shrink * (b - a)
-            gc = g(c)
-        else:
-            a, c, gc = c, d, gd
-            d = a + shrink * (b - a)
-            gd = g(d)
-    return c if gc < gd else d
+def _cubic(base: PlateConfig) -> list[Decimal]:
+    """psi as a cubic in u = (t/b) sqrt(E/sigma0), which falls as sigma0
+    rises: the coefficients of u^3, u^2 and u (the constant is 0) of
+    k (2.1 u - 0.9 u^2)(1 - 0.75 delta0 u), k = 1 - 2 eta t/b."""
+    eta, t, b, delta0 = (Decimal(float(v)) for v in (base.eta, base.t, base.b, base.delta0))
+    k, c1, c2, d = 1 - 2 * eta * t / b, Decimal("2.1"), Decimal("0.9"), Decimal("0.75") * delta0
+    return [k * c2 * d, -k * (c2 + c1 * d), k * c1]
 
 
-def _crossings(g, threshold: float, grid: np.ndarray):
-    """Brackets [grid[i], grid[i + 1]] of psi's downward and of its upward
-    crossings of the threshold."""
-    s = g(grid) - threshold
-    down = np.flatnonzero((s[:-1] >= 0.0) & (s[1:] < 0.0))
-    up = np.flatnonzero((s[:-1] < 0.0) & (s[1:] >= 0.0))
-    return [grid[i : i + 2] for i in down], [grid[i : i + 2] for i in up]
+def failure_set(threshold: float, base: PlateConfig = MEAN_PLATE) -> tuple[float, float, float]:
+    """(sigma_a, sigma_b, sigma*): psi(sigma0) < threshold above sigma* (inf if
+    never) and on (sigma_a, sigma_b) in psi's dip ((0, 0) if nowhere).  Each is
+    the double nearest a positive real root u of the cubic psi - threshold
+    (``np.roots``, then two Newton steps in 40-digit decimals) mapped back by
+    sigma0 = E (t/(b u))^2; the cubic's sign at the midpoints of 0 and the
+    roots tells which intervals fail.  ``base.sigma0`` is ignored."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        cubic = np.array([*_cubic(base), -Decimal(float(threshold))])
+        roots = np.roots(cubic.astype(float))
+        u = np.array([Decimal(r) for r in roots.real[(roots.imag == 0) & (roots.real > 0)]], object)
+        for _ in range(2):
+            u -= np.polyval(cubic, u) / np.polyval(np.polyder(cubic), u)
+        edges = np.concatenate(([Decimal(0)], np.sort(u)))
+        under = np.polyval(cubic, (edges[:-1] + edges[1:]) / 2) < 0
+        scale = Decimal(float(base.E)) * (Decimal(float(base.t)) / Decimal(float(base.b))) ** 2
+        sigma = (scale / edges[1:] ** 2).astype(float)
+    dip = np.flatnonzero(under[1:])  # psi < threshold on (edges[i + 1], edges[i + 2])
+    sigma_a, sigma_b = (sigma[dip[-1] + 1], sigma[dip[0]]) if dip.size else (0.0, 0.0)
+    return float(sigma_a), float(sigma_b), float(sigma[0]) if under[:1].any() else np.inf
 
 
 def pf_semianalytic(
     family: ModelFamily, theta, threshold: float, base: PlateConfig = MEAN_PLATE
 ) -> float:
     """Failure probability P(psi < threshold) for one yield-strength model,
-    from one CDF call at the crossings of psi(sigma0) = threshold, each
-    solved to a few ulps by Brent's method (``_brentq``).
-
-    psi rises to +inf as sigma0 -> 0+, dips below zero (to -0.308 near 1.4
-    ksi at the mean plate), turns over just above 15 ksi and falls towards
-    0+.  So pf = (1 - F(sigma*)) + (F(sigma_b) - F(sigma_a)): sigma* is the
-    one downward crossing above 15 ksi (inf for a threshold at or below 0),
-    and (sigma_a, sigma_b) the part of the dip under the threshold, empty
-    when the threshold is at or below the dip's minimum.  500 geometric
-    points on (0, 15] bracket the crossings; when none of them falls under
-    the threshold, a golden-section search between the lowest point's
-    neighbours finds the minimum, so a threshold just above it still counts
-    its narrow interval.  Any other pattern of crossings is outside
-    the study envelope and raises.  Serves as the independent oracle for
-    importance-sampling results.  ``base.sigma0`` is ignored; sigma0 is the
-    random input.
-    """
-    g = buckling_response(base)
-    lo = 15.0
-    if g(lo) <= threshold:
-        raise ValueError(
-            f"threshold {threshold} is not bracketed from above at sigma0={lo}; "
-            "configuration outside the study envelope"
-        )
-
-    def root(bracket):
-        return _brentq(lambda s: g(s) - threshold, *bracket, xtol=0.0, rtol=1e-15)
-
-    sigma_a = sigma_b = lo
-    scan = np.geomspace(lo * 1e-4, lo, 500)
-    down, up = _crossings(g, threshold, scan)
-    i = int(np.argmin(g(scan)))
-    if not (down or up) and 0 < i < scan.size - 1:
-        least = _least_point(g, scan[i - 1], scan[i + 1])
-        if g(least) < threshold:
-            down, up = [np.array([scan[i - 1], least])], [np.array([least, scan[i + 1]])]
-    if down or up:
-        if len(down) != 1 or len(up) != 1:
-            raise ValueError(
-                f"response does not dip under the threshold once on (0, {lo}]; "
-                "configuration outside the study envelope"
-            )
-        sigma_a, sigma_b = root(down[0]), root(up[0])
-    # sigma* lies below the first of 65, 130, 260, ... ksi where psi is
-    # under the threshold
-    sigma_star = np.inf
-    his = 65.0 * 2.0 ** np.arange(60)
-    under = his[g(his) < threshold]
-    if under.size:
-        down, up = _crossings(g, threshold, np.linspace(lo, under[0], 500))
-        if len(down) != 1 or up:
-            raise ValueError(
-                "response does not cross the threshold exactly once (non-monotone "
-                f"on [{lo}, {under[0]}]); configuration outside the study envelope"
-            )
-        sigma_star = root(down[0])
-    f = dist_cdf(family, theta, np.array([sigma_a, sigma_b, sigma_star]))
+    (1 - F(sigma*)) + (F(sigma_b) - F(sigma_a)) from one CDF call at the
+    crossings of ``failure_set``: psi rises to +inf as sigma0 -> 0+, dips
+    below zero (to -0.308 near 1.4 ksi at the mean plate), turns over just
+    above 15 ksi and falls towards 0+.  The independent oracle for
+    importance-sampling results; sigma0 is the random input."""
+    f = dist_cdf(family, theta, np.array(failure_set(threshold, base)))
     return float((1.0 - f[2]) + (f[1] - f[0]))

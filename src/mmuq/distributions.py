@@ -65,8 +65,7 @@ must be C-contiguous, as np.matmul runs no BLAS into a strided ``out``.
 
 ``params_from_moments`` inverts the Weibull and Loglogistic moment relations
 (behind the noninformative boxes and the MLE starts) with ``_brentq``, a
-step-for-step port of scipy's C ``brentq`` that returns the same bits; it
-also solves ``buckling.pf_semianalytic``'s failure yields.  The
+step-for-step port of scipy's C ``brentq`` that returns the same bits.  The
 special functions (log Gamma in the Gamma coefficients and the Weibull
 moments, Gamma, the normal CDF, the regularized incomplete gamma and the
 logistic function in ``cdf``) come from :mod:`mmuq.special`, ports of the

@@ -230,7 +230,7 @@ class StudyPipeline:
     @_memo
     def true_output_stats(self) -> tuple[float, float, float]:
         """(mean psi, var psi, pf) of the true generator, by quadrature and
-        root finding rather than sampling."""
+        the roots of psi's cubic (``buckling.failure_set``), not sampling."""
         spec = buckling.TRUE_MODEL
         m, v = buckling.response_moments(spec.family, spec.theta, self.config.plate)
         pf = buckling.pf_semianalytic(

@@ -2,9 +2,11 @@
 oracle."""
 
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import brentq
 
 from mmuq import buckling
@@ -14,6 +16,7 @@ from mmuq.buckling import (
     PlateConfig,
     TrueModelSpec,
     buckling_response,
+    failure_set,
     generate_data,
     pf_semianalytic,
     response_moments,
@@ -184,10 +187,10 @@ class TestPfSemianalytic:
         assert pf == pytest.approx(p_mc, abs=3.0 * se)
 
     def test_threshold_just_above_the_dip_minimum(self):
-        # psi's least value on the 500-point scan is -0.3079673 and its true
-        # minimum -0.3080461, so at -0.30802 no scan point is under the
-        # threshold, yet psi is under it on an interval about 0.012 ksi wide
-        # that holds 0.0061 of this member
+        # psi's least value on a 500-point geometric grid of (0, 15] ksi is
+        # -0.3079673 and its true minimum -0.3080461, so at -0.30802 no grid
+        # point is under the threshold, yet psi is under it on an interval
+        # about 0.012 ksi wide that holds 0.0061 of this member
         family = ModelFamily.LOGNORMAL
         theta = params_from_moments(family, 2.0, 0.5)
         threshold = -0.30802
@@ -212,12 +215,6 @@ class TestPfSemianalytic:
         assert 0.0 < dip < 1e-37
         assert pf == 1.0 - cdf(TRUE_MODEL.family, TRUE_MODEL.theta, sigma_star)
 
-    def test_dip_crossing_the_threshold_once_is_an_error(self):
-        # so slender a plate that psi is already under 0.01 at the scan's
-        # first point: the dip rises across the threshold without falling
-        with pytest.raises(ValueError, match="dip under the threshold once"):
-            pf_semianalytic(TRUE_MODEL.family, TRUE_MODEL.theta, 0.01, PlateConfig(b=1500.0, t=1.0))
-
     def test_agrees_with_direct_monte_carlo(self):
         rng = rng_for(123, "pf-oracle")
         n = 10**7
@@ -229,9 +226,31 @@ class TestPfSemianalytic:
         pf = pf_semianalytic(TRUE_MODEL.family, TRUE_MODEL.theta, 0.6, MEAN_PLATE)
         assert pf == pytest.approx(p_mc, abs=3.0 * se)
 
-    def test_unbracketed_threshold_is_an_error(self):
-        with pytest.raises(ValueError, match="envelope"):
-            pf_semianalytic(TRUE_MODEL.family, TRUE_MODEL.theta, 0.9, MEAN_PLATE)
+    @pytest.mark.parametrize(
+        "threshold, plate, mean, cov",
+        [(0.9, MEAN_PLATE, 34.782, 0.116), (0.6822, MEAN_PLATE, 34.782, 0.116),
+         (0.68, PlateConfig(b=40.0, t=0.9), 34.782, 0.116),
+         (0.01, PlateConfig(b=1500.0, t=1.0), 34.782, 0.116),
+         (0.01, PlateConfig(b=1500.0, t=1.0), 500.0, 0.5)],
+        ids=["mean-0.9", "mean-0.6822", "b40-0.68", "slender-0.01", "slender-0.01-strong"],
+    )
+    def test_agrees_with_monte_carlo_off_the_study_envelope(self, threshold, plate, mean, cov):
+        # thresholds near or above the peak of psi's turnover (0.68232 at the
+        # mean plate, under 0.68 at b=40, t=0.9), where nearly every yield
+        # strength above the dip fails, and a plate so slender that psi is
+        # under 0.01 from about 557 ksi and in a dip at about 0.001 ksi
+        family = ModelFamily.LOGNORMAL
+        theta = params_from_moments(family, mean, cov)
+        n = 10**6
+        draws = buckling_response(plate)(sample(family, theta, rng_for(31, "pf-envelope"), n))
+        p_mc = np.mean(draws < threshold)
+        pf = pf_semianalytic(family, theta, threshold, plate)
+        # the standard error of the Monte Carlo estimate were pf the truth,
+        # which stays positive where pf is just under 1 and p_mc is 1
+        se = np.sqrt(pf * (1.0 - pf) / n)
+        assert abs(pf - p_mc) <= 3.0 * se
+        if threshold == 0.6822:
+            assert 1.0 - 1e-9 < pf < 1.0
 
     def test_normal_member_agrees_with_cdf_identity(self):
         # any member family: (1 - F(sigma*)) + (F(sigma_b) - F(sigma_a))
@@ -261,6 +280,83 @@ class TestPfSemianalytic:
         assert sigma_star == pytest.approx(root, rel=1e-13, abs=0.0)
 
 
+def reference_crossings(threshold, plate, guesses):
+    """The crossings psi(sigma0) = threshold near ``guesses`` to 50 digits:
+    Newton steps in u = (t/b) sqrt(E/sigma0) on psi's factored form with
+    its decimal constants, written out independently of the library."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        fields = (plate.b, plate.t, plate.E, plate.delta0, plate.eta)
+        b, t, e, delta0, eta = (Decimal(float(v)) for v in fields)
+        k = 1 - 2 * eta * t / b
+        drop = Decimal("0.75") * delta0
+        target = Decimal(float(threshold))
+        out = []
+        for guess in guesses:
+            u = (t / b) * (e / Decimal(guess)).sqrt()
+            for _ in range(60):
+                left, right = Decimal("2.1") * u - Decimal("0.9") * u * u, 1 - drop * u
+                slope = (Decimal("2.1") - Decimal("1.8") * u) * right - drop * left
+                u -= (k * left * right - target) / (k * slope)
+            out.append(e * (t / (b * u)) ** 2)
+        return out
+
+
+class TestFailureSet:
+    PLATES = [MEAN_PLATE, PlateConfig(b=30.0, t=0.5), PlateConfig(b=40.0, t=0.9)]
+
+    @pytest.mark.parametrize("threshold", [-0.5, 0.0, 0.3, 0.6, 0.68])
+    @pytest.mark.parametrize("plate", PLATES, ids=["mean", "b30-t0.5", "b40-t0.9"])
+    def test_crossings_correctly_rounded(self, threshold, plate):
+        # each finite crossing is the double nearest the 50-digit root, so
+        # no bracketed search in double precision lands closer
+        crossings = [s for s in failure_set(threshold, plate) if 0.0 < s < np.inf]
+        assert crossings or threshold < -0.31
+        for sigma, ref in zip(crossings, reference_crossings(threshold, plate, crossings)):
+            assert sigma == float(ref)
+            assert abs(Decimal(sigma) - ref) <= Decimal(1e-14) * ref
+
+    def test_threshold_at_the_dip_minimum_is_answered(self):
+        # a tangent root: the threshold at psi's least value, -0.3080461 near
+        # 1.3969 ksi, leaves a dip of no probability, without a warning
+        grid = np.linspace(1.39, 1.40, 100_001)
+        floor = float(buckling_response(MEAN_PLATE)(grid).min())
+        theta = params_from_moments(ModelFamily.LOGNORMAL, 1.4, 0.3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sigma_a, sigma_b, sigma_star = failure_set(floor)
+            pf = pf_semianalytic(ModelFamily.LOGNORMAL, theta, floor)
+        assert sigma_star == np.inf and sigma_b - sigma_a < 1e-3
+        assert 0.0 <= pf < 1e-3
+
+    @given(
+        b=st.floats(5.0, 2000.0),
+        t_frac=st.floats(1e-3, 0.5),
+        delta0=st.floats(0.01, 3.0),
+        eta_frac=st.floats(0.0, 0.99),
+        e=st.floats(1e4, 4e4),
+        threshold=st.floats(-1.0, 1.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_any_plate_and_threshold(self, b, t_frac, delta0, eta_frac, e, threshold):
+        # eta_frac places the residual-stress zone 2 eta t inside the width
+        t = b * t_frac
+        plate = PlateConfig(b=b, t=t, E=e, delta0=delta0, eta=max(eta_frac * b / (2.0 * t), 1e-9))
+        g = buckling_response(plate)
+        crossings = [s for s in failure_set(threshold, plate) if 0.0 < s < np.inf]
+        assume(all(abs(x / y - 1.0) > 1e-4 for x in crossings for y in crossings if x != y))
+        for sigma in crossings:
+            u = (t / b) * np.sqrt(e / sigma)
+            k = 1.0 - 2.0 * plate.eta * t / b
+            terms = abs(k) * (2.1 * u + (0.9 + 1.575 * delta0) * u**2 + 0.675 * delta0 * u**3)
+            scale = max(terms, abs(threshold))
+            assert abs(g(sigma) - threshold) <= 16 * np.finfo(float).eps * scale
+            below, above = g(sigma * (1.0 - 1e-6)) - threshold, g(sigma * (1.0 + 1e-6)) - threshold
+            assert below * above < 0.0
+        pf = pf_semianalytic(TRUE_MODEL.family, TRUE_MODEL.theta, threshold, plate)
+        assert 0.0 <= pf <= 1.0
+
+
 class TestPlateConfig:
     def test_rejects_nonpositive_fields(self):
         with pytest.raises(ValueError):
@@ -277,6 +373,15 @@ class TestPlateConfig:
     def test_rejects_thickness_over_width(self):
         with pytest.raises(ValueError):
             PlateConfig(b=0.5, t=0.75)
+
+    def test_rejects_residual_stress_zone_as_wide_as_the_plate(self):
+        # with 2 eta t >= b, k = 1 - 2 eta t / b <= 0 and psi is at most 0 at
+        # every yield strength (eta=30 gave psi(34) = -0.198)
+        with pytest.raises(ValueError, match=r"2\*eta\*t = 2\*30.0\*0.75 .* width b = 36.0"):
+            PlateConfig(eta=30.0)
+        with pytest.raises(ValueError, match="residual-stress"):
+            PlateConfig(b=30.0, t=1.0, eta=15.0)
+        assert PlateConfig(b=30.0, t=1.0, eta=14.9).eta == 14.9
 
     def test_true_model_parameters(self):
         np.testing.assert_allclose(
