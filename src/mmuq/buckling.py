@@ -1,5 +1,5 @@
-"""Plate buckling strength: the buckling response psi(sigma0), synthetic
-data, and quadrature and semi-analytic oracles for its statistics.
+"""Plate buckling strength: the response psi(sigma0), synthetic data, and
+oracles for its statistics (Clenshaw-Curtis moments, the cubic's pf).
 
 The response of interest is the normalized buckling strength of a simply
 supported rectangular plate under uniaxial compression.  Only the yield
@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
 from typing import Callable
 
 import numpy as np
 
 from .distributions import (
-    _blocks,
+    _CHEB_NODES,
+    _chebyshev_rule,
     Dataset,
     ModelFamily,
     cdf as dist_cdf,
@@ -42,11 +42,6 @@ __all__ = [
 ]
 
 FAILURE_THRESHOLD = 0.6
-
-# Cells per point counted by ``response_moments``'s ``_blocks``: the log
-# density's features and result, psi and its temporaries, and the two
-# integrands.
-_QUADRATURE_CELLS_PER_POINT = 16
 
 
 @dataclass(frozen=True)
@@ -140,14 +135,13 @@ def generate_data(spec: TrueModelSpec, n: int, seed: int) -> Dataset:
 def response_moments(
     family: ModelFamily, theta, base: PlateConfig = MEAN_PLATE
 ) -> tuple[float, float]:
-    """Quadrature mean and variance of psi(sigma0) under one yield-strength
-    model (trapezoid rule on 200,001 points over +-12 sd); independent of
-    the sampling-based propagation path.  A member without a finite yield sd
-    (a Loglogistic with scale parameter 0.5 or more) raises ``ValueError``.
-
-    The rule runs over blocks of points (``_blocks``), each evaluating the
-    density and psi once per point and closing the interval to the previous
-    block's last point, so memory stays at the grid plus one block."""
+    """Mean and variance of psi(sigma0) under one yield-strength model by
+    Clenshaw-Curtis quadrature, independent of the sampling-based path:
+    ``_chebyshev_rule`` on the moments of d sigma0 ((hi - lo) / (1 - k^2),
+    k even) at ``_CHEB_NODES`` nodes over +-12 sd, clipped at 1e-6 ksi.
+    Weights times density are renormalized to sum to 1, so the mass outside
+    the window does not inflate the variance, a mean square about the mean.
+    A member without a finite yield sd (Loglogistic scale >= 0.5) raises."""
     mean_s, sd_s = dist_moments(family, theta)
     if not np.isfinite(sd_s):
         raise ValueError(
@@ -156,26 +150,21 @@ def response_moments(
         )
     lo = max(mean_s - 12.0 * sd_s, 1e-6)
     hi = mean_s + 12.0 * sd_s
-    grid = np.linspace(lo, hi, 200_001)
-    g = buckling_response(base)
-    m1 = m2 = 0.0
-    edge = np.empty((2, 0))  # [g p, g^2 p] at the point before the block
-    for block in _blocks(grid.size, _QUADRATURE_CELLS_PER_POINT):
-        x = grid[block]
-        density = np.exp(dist_log_pdf(family, theta, x))
-        gv = g(x)
-        f = np.concatenate((edge, [gv * density, gv * gv * density]), axis=1)
-        points = grid[max(block.start - 1, 0) : block.stop]
-        m1 += float(np.trapezoid(f[0], points))
-        m2 += float(np.trapezoid(f[1], points))
-        edge = f[:, -1:]
-    return m1, m2 - m1 * m1
+    lebesgue = np.zeros(_CHEB_NODES)
+    lebesgue[::2] = (hi - lo) / (1.0 - np.arange(0, _CHEB_NODES, 2) ** 2)
+    nodes, weights, _ = _chebyshev_rule(lo, hi, lebesgue)
+    weights *= np.exp(dist_log_pdf(family, theta, nodes))
+    weights /= weights.sum()
+    psi = buckling_response(base)(nodes)
+    mean = float((weights * psi).sum())
+    return mean, float((weights * (psi - mean) ** 2).sum())
 
 
 def _cubic(base: PlateConfig) -> list[Decimal]:
     """psi as a cubic in u = (t/b) sqrt(E/sigma0), which falls as sigma0
     rises: the coefficients of u^3, u^2 and u (the constant is 0) of
     k (2.1 u - 0.9 u^2)(1 - 0.75 delta0 u), k = 1 - 2 eta t/b."""
+    from decimal import Decimal
     eta, t, b, delta0 = (Decimal(float(v)) for v in (base.eta, base.t, base.b, base.delta0))
     k, c1, c2, d = 1 - 2 * eta * t / b, Decimal("2.1"), Decimal("0.9"), Decimal("0.75") * delta0
     return [k * c2 * d, -k * (c2 + c1 * d), k * c1]
@@ -187,7 +176,9 @@ def failure_set(threshold: float, base: PlateConfig = MEAN_PLATE) -> tuple[float
     the double nearest a positive real root u of the cubic psi - threshold
     (``np.roots``, then two Newton steps in 40-digit decimals) mapped back by
     sigma0 = E (t/(b u))^2; the cubic's sign at the midpoints of 0 and the
-    roots tells which intervals fail.  ``base.sigma0`` is ignored."""
+    roots tells which intervals fail.  ``base.sigma0`` is ignored.  decimal is
+    imported here, so a process that never runs the oracle never loads it."""
+    from decimal import Decimal, localcontext
     with localcontext() as ctx:
         ctx.prec = 40
         cubic = np.array([*_cubic(base), -Decimal(float(threshold))])

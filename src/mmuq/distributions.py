@@ -42,18 +42,19 @@ cost the same at any dataset size and the others need about 1 MB at any
 size.  On more than 258 points the data term is a sum over 129 Chebyshev
 nodes on the data's range with weights cached on the dataset
 (``Dataset.quadrature``), for every row whose interpolant's tail passes a
-test; the others take the direct sum over the data.  On a (1000 x 131)
-block of noninformative-box rows the grid takes 1.8, 2.3, 5.5 and 2.1 ns per
-cell for Normal, Lognormal, Gamma and InverseGaussian, and 20.3, 19.0 and
-10.8 ns for Logistic, Loglogistic and Weibull; the likelihood's direct h
-takes 5.4, 5.4 and 2.3 ns per cell on 1000 rows at 10^4 points, so a
-16-row Logistic call at n = 10^4 took 641 us with it and 55 us on the nodes
-(shared 2-core x86-64 host, OpenBLAS 0.3.31).  The linear form rounds
-differently from a direct formula, within a few ulps of its largest term
-sum_k |c_k T_k(x)|.  A cell's value depends only on its own parameter row
-and point, and a likelihood only on its own row, never on the other rows or
-points of the call, so the rows a mask later sets to -inf change no other
-row's bits.
+test; the others take the direct sum over the data.  The same rule
+(``_chebyshev_rule``), on the moments of d sigma0, is Clenshaw-Curtis for
+``buckling.response_moments``.  On a (1000 x 131) block of noninformative-box
+rows the grid takes 1.8, 2.3, 5.5 and 2.1 ns per cell for Normal, Lognormal,
+Gamma and InverseGaussian, and 20.3, 19.0 and 10.8 ns for Logistic,
+Loglogistic and Weibull; the likelihood's direct h takes 5.4, 5.4 and 2.3 ns
+per cell on 1000 rows at 10^4 points, so a 16-row Logistic call at n = 10^4
+took 641 us with it and 55 us on the nodes (shared 2-core x86-64 host,
+OpenBLAS 0.3.31).  The linear form rounds differently from a direct formula,
+within a few ulps of its largest term sum_k |c_k T_k(x)|.  A cell's value
+depends only on its own parameter row and point, and a likelihood only on
+its own row, never on the other rows or points of the call, so the rows a
+mask later sets to -inf change no other row's bits.
 
 Two layout rules serve the likelihood, the grid, the KDE prior density and
 propagation's density blocks, each from one function: ``_matmul`` is the
@@ -115,13 +116,14 @@ _NEG_INF = -np.inf
 # block stay in cache.
 _BLOCK_CELLS = 1 << 17
 
-# The likelihood's Chebyshev data quadrature (``_chebyshev_quadrature``):
-# its node count N, used only on datasets of more than 2 N points, and the
-# relative tolerance of a row's tail test (``_data_term``).  At 1e-13 the
-# rows it accepted erred by up to 17 eps sum_i |h| (Logistic chain rows) and
-# 153 (Weibull evidence rows) against an exact sum; at 1e-14 by at most 3.2,
-# and the accepted share of the n = 10^4 chain rows fell only from 99.8,
-# 99.9 and 91.7% to 99.7, 99.9 and 86.6% (Logistic, Loglogistic, Weibull).
+# The Chebyshev rule's node count N (``_chebyshev_rule``: the likelihood's
+# data quadrature, used only on datasets of more than 2 N points, and
+# ``buckling.response_moments``), and the relative tolerance of a data row's
+# tail test (``_data_term``).  At 1e-13 the rows it accepted erred by up to
+# 17 eps sum_i |h| (Logistic chain rows) and 153 (Weibull evidence rows)
+# against an exact sum; at 1e-14 by at most 3.2, and the accepted share of
+# the n = 10^4 chain rows fell only from 99.8, 99.9 and 91.7% to 99.7, 99.9
+# and 86.6% (Logistic, Loglogistic, Weibull).
 _CHEB_NODES = 129
 _CHEB_TAIL_RTOL = 1e-14
 
@@ -272,29 +274,12 @@ class Dataset:
 
 
 def _chebyshev_quadrature(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(nodes, weights, tail) of a quadrature of the points ``t``' empirical
-    measure: sum_j weights_j f(nodes_j) = sum_i p(t_i) for the degree-(N - 1)
-    Chebyshev interpolant p of f at the N = ``_CHEB_NODES`` Chebyshev points
-    of the second kind on [min t, max t] (Trefethen 2013, *Approximation
-    Theory and Approximation Practice*, ch. 2-3).
-
-    With u the map of t onto [-1, 1], x_j = cos(pi j / (N - 1)) and C the
-    matrix taking node values to Chebyshev coefficients (c = C f, a cosine
-    transform), the weights are C^T M for the data's moments M_k = sum_i
-    T_k(u_i), which the three-term recurrence gives in N passes over the
-    data.  ``tail`` holds rows N - 2 and N - 1 of C: the last two
-    coefficients of the interpolant, which size its truncation error.  The
-    products are elementwise and their sums run down one axis, so the
-    weights do not depend on BLAS."""
+    """``_chebyshev_rule`` on [min t, max t] for the points ``t``' empirical
+    measure, sum_j weights_j f(nodes_j) = sum_i p(t_i), whose moments M_k =
+    sum_i T_k(u_i) the three-term recurrence gives in N passes over t."""
     n = _CHEB_NODES
     lo, hi = float(t.min()), float(t.max())
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    # cos(pi m / (N - 1)) for m = k j reduced mod 2 (N - 1): exact arguments
-    kj = np.outer(np.arange(n), np.arange(n)) % (2 * (n - 1))
-    cheb = np.cos(np.pi / (n - 1) * kj)  # T_k(x_j)
-    end = np.ones(n)
-    end[[0, -1]] = 0.5
-    transform = cheb * (2.0 / (n - 1)) * end[:, None] * end[None, :]
     u = np.clip((t - mid) / half, -1.0, 1.0)
     moments = np.empty(n)
     prev, cur = np.ones_like(u), u.copy()
@@ -304,6 +289,29 @@ def _chebyshev_quadrature(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
         prev += 2.0 * u * cur
         prev, cur = cur, prev
         moments[k] = cur.sum()
+    return _chebyshev_rule(lo, hi, moments)
+
+
+def _chebyshev_rule(lo: float, hi: float, moments: np.ndarray):
+    """(nodes, weights, tail): sum_j weights_j f(nodes_j) integrates the
+    degree-(N - 1) Chebyshev interpolant p of f at the N = ``moments.size``
+    Chebyshev points of the second kind on [lo, hi] against a measure whose
+    moments M_k are the integrals of T_k(u), u the map of [lo, hi] onto
+    [-1, 1] (Trefethen 2013, *Approximation Theory and Approximation
+    Practice*, ch. 2-3).  With x_j = cos(pi j / (N - 1)) and C the matrix
+    taking node values to Chebyshev coefficients (c = C f, a cosine
+    transform), the weights are C^T M.  ``tail`` holds rows N - 2 and N - 1
+    of C: the last two coefficients of p, which size its truncation error.
+    The products are elementwise and their sums run down one axis, so the
+    weights do not depend on BLAS."""
+    n = moments.size
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    # cos(pi m / (N - 1)) for m = k j reduced mod 2 (N - 1): exact arguments
+    kj = np.outer(np.arange(n), np.arange(n)) % (2 * (n - 1))
+    cheb = np.cos(np.pi / (n - 1) * kj)  # T_k(x_j)
+    end = np.ones(n)
+    end[[0, -1]] = 0.5
+    transform = cheb * (2.0 / (n - 1)) * end[:, None] * end[None, :]
     weights = (transform * moments[:, None]).sum(axis=0)
     return mid + half * cheb[1], weights, transform[-2:].copy()
 

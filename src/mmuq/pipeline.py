@@ -229,8 +229,8 @@ class StudyPipeline:
 
     @_memo
     def true_output_stats(self) -> tuple[float, float, float]:
-        """(mean psi, var psi, pf) of the true generator, by quadrature and
-        the roots of psi's cubic (``buckling.failure_set``), not sampling."""
+        """(mean psi, var psi, pf) of the true generator, not sampled: the
+        Clenshaw-Curtis ``response_moments`` and the cubic's ``failure_set``."""
         spec = buckling.TRUE_MODEL
         m, v = buckling.response_moments(spec.family, spec.theta, self.config.plate)
         pf = buckling.pf_semianalytic(

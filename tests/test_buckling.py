@@ -1,6 +1,7 @@
 """The buckling response, synthetic data generation and the failure-probability
 oracle."""
 
+import math
 import warnings
 from decimal import Decimal, localcontext
 
@@ -25,7 +26,6 @@ from mmuq.distributions import (
     FAMILIES,
     ModelFamily,
     cdf,
-    log_pdf,
     moments,
     params_from_moments,
     sample,
@@ -87,32 +87,31 @@ class TestPsiFormulas:
         tail = vals[grid >= 17.0]
         assert np.all(np.diff(tail) < 0.0)
 
-    @pytest.mark.parametrize("family", FAMILIES)
-    def test_blocked_truth_quadrature_equals_the_whole_trapezoid(self, family, monkeypatch):
-        # every point's psi is evaluated once, and the blocked sums agree
-        # with one trapezoid over the whole grid up to summation order
-        theta = params_from_moments(family, 34.782, 0.116)
-        points = []
-        g = buckling_response(MEAN_PLATE)
+    @pytest.mark.parametrize("mean", [20.0, 34.782, 60.0])
+    @pytest.mark.parametrize("cov", [0.01, 0.05, 0.116])
+    def test_lognormal_moments_equal_the_closed_form(self, mean, cov):
+        # E[sigma0^q] = exp(q lam + q^2 zeta^2 / 2), so E[u^j] is closed;
+        # the truth (34.782, 0.116) is among the members
+        theta = params_from_moments(ModelFamily.LOGNORMAL, mean, cov)
+        lam, zeta = (Decimal(float(p)) for p in theta)
+        want_m, want_v = closed_form_psi_moments(
+            lambda j: (-j * lam / 2 + j * j * zeta * zeta / 8).exp()
+        )
+        m, v = response_moments(ModelFamily.LOGNORMAL, theta, MEAN_PLATE)
+        assert m == pytest.approx(want_m, rel=1e-13, abs=0.0)
+        assert v == pytest.approx(want_v, rel=1e-11, abs=0.0)
 
-        def counted(base):
-            def psi(x):
-                points.append(x.size)
-                return g(x)
-
-            return psi
-
-        monkeypatch.setattr(buckling, "buckling_response", counted)
-        m, v = response_moments(family, theta, MEAN_PLATE)
-        assert len(points) > 1 and sum(points) == 200_001
-        mean_s, sd_s = moments(family, theta)
-        grid = np.linspace(max(mean_s - 12.0 * sd_s, 1e-6), mean_s + 12.0 * sd_s, 200_001)
-        density = np.exp(log_pdf(family, theta, grid))
-        gv = g(grid)
-        m1 = np.trapezoid(gv * density, grid)
-        m2 = np.trapezoid(gv * gv * density, grid)
-        assert m == pytest.approx(m1, rel=1e-14)
-        assert v == pytest.approx(m2 - m1 * m1, rel=1e-11)
+    def test_window_mass_does_not_enter_the_variance(self):
+        # a Weibull member at COV 0.01 leaves 4.7e-8 of its mass below the
+        # +-12 sd window, and psi's var/mean^2 is 4.6e-6: E[psi^2] - E[psi]^2
+        # on unnormalized weights is off by that mass times mean^2/var, 1e-2
+        # relative; renormalized weights leave only the cut, 7.8e-6
+        k, s = params_from_moments(ModelFamily.WEIBULL, 34.782, 0.01)
+        _, want_v = closed_form_psi_moments(
+            lambda j: Decimal(float(s)) ** Decimal(-j / 2) * Decimal(math.gamma(1 - j / (2 * k)))
+        )
+        _, v = response_moments(ModelFamily.WEIBULL, (k, s), MEAN_PLATE)
+        assert v == pytest.approx(want_v, rel=1e-4, abs=0.0)
 
     def test_member_without_finite_sd_is_an_error(self):
         # Loglogistic (3.5, 0.6) has a mean but no variance, so no +-12 sd
@@ -278,6 +277,22 @@ class TestPfSemianalytic:
         [points] = seen
         sigma_star = points[-1]
         assert sigma_star == pytest.approx(root, rel=1e-13, abs=0.0)
+
+
+def closed_form_psi_moments(yield_moment):
+    """(mean, var) of psi = a1 u + a2 u^2 + a3 u^3 (``buckling._cubic``'s
+    coefficients) in 50 digits, from ``yield_moment(j)`` = E[sigma0^(-j/2)]
+    as a Decimal: E[u^j] = ((t/b) sqrt(E))^j E[sigma0^(-j/2)], and the
+    variance is the centred sum_ij b_i b_j E[u^(i+j)], b = (-mean, a1, a2, a3)."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        a3, a2, a1 = buckling._cubic(MEAN_PLATE)
+        t, b, e = (Decimal(float(v)) for v in (MEAN_PLATE.t, MEAN_PLATE.b, MEAN_PLATE.E))
+        eu = [(t / b * e.sqrt()) ** j * yield_moment(j) for j in range(7)]
+        mean = a1 * eu[1] + a2 * eu[2] + a3 * eu[3]
+        coef = (-mean, a1, a2, a3)
+        var = sum(coef[i] * coef[j] * eu[i + j] for i in range(4) for j in range(4))
+        return float(mean), float(var)
 
 
 def reference_crossings(threshold, plate, guesses):
